@@ -440,28 +440,38 @@ PENDING = "pending"
 
 def surface_occurrences(program: Program) -> Iterator[tuple[Address, str]]:
     for entry in program.interface:
-        yield from _surface(entry, ENTRY)
+        for address in surface_addresses(entry):
+            yield (address, ENTRY)
     for txn in program.pending:
-        yield from _surface(txn.left, PENDING)
-        yield from _surface(txn.right, PENDING)
+        for side in (txn.left, txn.right):
+            for address in surface_addresses(side):
+                yield (address, PENDING)
 
 
-def _surface(e, tag):
-    match e:
-        case Addr(address):
-            yield (address, tag)
-        case Unit() | Dispose():
-            return
-        case Dual(inner) | Inl(inner) | Inr(inner) | Store(inner):
-            yield from _surface(inner, tag)
-        case Iso(left, right) | Conn(left, right) | Contract(left, right):
-            yield from _surface(left, tag)
-            yield from _surface(right, tag)
-        case Choose() | Bang():
-            for binder in context_binders(e):
-                yield (binder, tag)
-        case _:
-            raise TypeError(f"cannot analyse {e!r}")
+def surface_addresses(e: Expression) -> list[Address]:
+    """The occurrence sites of ``e`` at the enclosing level, left to right.
+
+    Iterative, so arbitrarily deep ``*``-chains of literals are fine.
+    """
+    out: list[Address] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        match node:
+            case Addr(address):
+                out.append(address)
+            case Unit() | Dispose():
+                pass
+            case Dual(inner) | Inl(inner) | Inr(inner) | Store(inner):
+                stack.append(inner)
+            case Iso(left, right) | Conn(left, right) | Contract(left, right):
+                stack.append(right)
+                stack.append(left)
+            case Choose() | Bang():
+                out.extend(context_binders(node))
+            case _:
+                raise TypeError(f"cannot analyse {node!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -488,38 +498,35 @@ def node_count(value) -> int:
 
 
 def unit_multiset(value) -> Counter:
-    """Multiset of currency literals, counting through box bodies."""
+    """Multiset of currency literals, counting through box bodies.
+
+    Iterative, so arbitrarily deep ``*``-chains of literals are fine.
+    """
     out: Counter = Counter()
-    _units(value, out)
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        match node:
+            case Unit(unit):
+                out[unit] += 1
+            case Addr() | Dispose():
+                pass
+            case Dual(inner) | Inl(inner) | Inr(inner) | Store(inner):
+                stack.append(inner)
+            case Iso(l, r) | Conn(l, r) | Contract(l, r) | Transaction(l, r):
+                stack.append(r)
+                stack.append(l)
+            case Choose(_, left, right):
+                stack.append(right)
+                stack.append(left)
+            case Bang(_, body):
+                stack.append(body)
+            case Program(interface, pending):
+                stack.extend(reversed(pending))
+                stack.extend(reversed(interface))
+            case _:
+                raise TypeError(f"cannot count {node!r}")
     return out
-
-
-def _units(value, out):
-    match value:
-        case Unit(unit):
-            out[unit] += 1
-        case Addr() | Dispose():
-            return
-        case Dual(inner) | Inl(inner) | Inr(inner) | Store(inner):
-            _units(inner, out)
-        case Iso(l, r) | Conn(l, r) | Contract(l, r):
-            _units(l, out)
-            _units(r, out)
-        case Choose(_, left, right):
-            _units(left, out)
-            _units(right, out)
-        case Bang(_, body):
-            _units(body, out)
-        case Transaction(l, r):
-            _units(l, out)
-            _units(r, out)
-        case Program(interface, pending):
-            for e in interface:
-                _units(e, out)
-            for t in pending:
-                _units(t, out)
-        case _:
-            raise TypeError(f"cannot count {value!r}")
 
 
 # ---------------------------------------------------------------------------

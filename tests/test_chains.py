@@ -293,6 +293,13 @@ class TestBridge:
         assert sorted(parser.render(e) for e in combined_program.interface) == union_interface
         assert sorted(parser.render(t) for t in combined_program.pending) == union_pending
 
+    def test_deep_amount_round_trip(self):
+        # The amount becomes a *-chain of literals as deep as the amount.
+        chain = ch.Chain((ch.Block((transfer("a", "b", 100_000),)),))
+        outcome = rd.normalize(ch.chain_to_program(chain))
+        ledger = rd.readback_ledger(outcome.result)
+        assert ledger.to_json_dict() == {"balances": {"b": {"btc": 100_000}}, "burned": {}}
+
     def test_accumulates_repeat_recipients(self):
         chain = ch.Chain(
             (

@@ -75,6 +75,14 @@ class TestRun:
         _, second, _ = run_cli(capsys, "run", spend_path, "--trace")
         assert first == second
 
+    def test_deep_literal(self, capsys, tmp_path):
+        # A literal is a left-nested *-chain as deep as its amount.
+        script = tmp_path / "deep.llbc"
+        script.write_text("(a){ txn(a, x); txn(x, 100000.satoshi) }\n")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == 0, err
+        assert out.strip() == "(a){ txn(a, 100000 . satoshi) }"
+
 
 class TestLedger:
     def test_golden_spend_ledger(self, capsys, spend_path):
@@ -103,6 +111,13 @@ class TestLedger:
         code, _, err = run_cli(capsys, "ledger", str(script))
         assert code == 1
         assert err.startswith("ERROR kind=ledger-form txn=0")
+
+    def test_deep_literal(self, capsys, tmp_path):
+        script = tmp_path / "deep.llbc"
+        script.write_text("(a){ txn(a, 100000.satoshi) }\n")
+        code, out, err = run_cli(capsys, "ledger", str(script), "--run")
+        assert code == 0, err
+        assert json.loads(out) == {"balances": {"a": {"satoshi": 100000}}, "burned": {}}
 
     def test_run_accumulates_burned(self, capsys, tmp_path):
         script = tmp_path / "burnbox.llbc"
