@@ -207,11 +207,6 @@ def load_chain(path: str) -> Chain:
         return chain_from_json(handle.read())
 
 
-def dump_chain(chain: Chain, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(chain_to_json(chain))
-
-
 # ---------------------------------------------------------------------------
 # Bridge into the scripting calculus
 

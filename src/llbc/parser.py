@@ -527,6 +527,8 @@ def _render_type(t: sx.LinearType, level: int) -> str:
             return f"!{_render_type(body, _T_PREFIX)}"
         case sx.WhyNot(body):
             return f"?{_render_type(body, _T_PREFIX)}"
+        case sx.LinearType():
+            return str(t)  # a leaf from outside the syntax, such as a checker's unknown
     raise TypeError(f"not a LinearType: {t!r}")
 
 

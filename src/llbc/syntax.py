@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Union
 
 from .errors import DualityError
@@ -151,6 +151,9 @@ def dual(t: LinearType) -> LinearType:
             return WhyNot(dual(body))
         case WhyNot(body):
             return OfCourse(dual(body))
+    if isinstance(t, LinearType) and hasattr(t, "negated"):
+        # A leaf from outside the syntax, such as a checker's unknown.
+        return replace(t, negated=not t.negated)
     raise TypeError(f"not a LinearType: {t!r}")
 
 
@@ -289,6 +292,84 @@ Renameable = Union[Expression, Transaction, Program, Address]
 
 
 # ---------------------------------------------------------------------------
+# Traversal: one children/rebuild pair per node kind. Addresses, units and
+# box binders are data of their node, not children.
+
+_LEAF = (lambda n: (), lambda n, kids: n)
+_INNER = (lambda n: (n.inner,), lambda n, kids: type(n)(kids[0], span=n.span))
+_BODY = (lambda n: (n.body,), lambda n, kids: type(n)(kids[0], span=n.span))
+_PAIR = (lambda n: (n.left, n.right), lambda n, kids: type(n)(kids[0], kids[1], span=n.span))
+
+_SHAPES = {
+    **dict.fromkeys((Atom, Addr, Unit, Dispose), _LEAF),
+    **dict.fromkeys((Dual, Inl, Inr, Store), _INNER),
+    **dict.fromkeys((OfCourse, WhyNot), _BODY),
+    **dict.fromkeys((Tensor, Par, With, Plus, Iso, Conn, Contract, Transaction), _PAIR),
+    Choose: (
+        lambda n: (n.left, n.right),
+        lambda n, kids: Choose(n.bound, kids[0], kids[1], span=n.span),
+    ),
+    Bang: (lambda n: (n.body,), lambda n, kids: Bang(n.bound, kids[0], span=n.span)),
+    Program: (
+        lambda n: n.interface + n.pending,
+        lambda n, kids: Program(
+            tuple(kids[: len(n.interface)]), tuple(kids[len(n.interface) :]), span=n.span
+        ),
+    ),
+}
+
+
+def _shape(node):
+    shape = _SHAPES.get(type(node))
+    if shape is not None:
+        return shape
+    if isinstance(node, LinearType):
+        return _LEAF  # a type leaf from outside the syntax, such as a checker's unknown
+    raise TypeError(f"not a syntax node: {node!r}")
+
+
+def children(node) -> tuple:
+    """The direct sub-nodes of ``node``, left to right; box bodies included."""
+    return _shape(node)[0](node)
+
+
+def rebuild(node, kids):
+    """``node`` with its children replaced by ``kids`` (same kind, data, span)."""
+    return _shape(node)[1](node, kids)
+
+
+def walk(value) -> Iterator:
+    """Every node under ``value``, pre-order, left to right. Iterative."""
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def fold(value, f):
+    """Compute ``f(node, results for its children)`` bottom-up. Iterative,
+    so arbitrarily deep ``*``-chains of literals are fine."""
+    done: list = []
+    todo: list = [(value, None)]
+    while todo:
+        node, kids = todo.pop()
+        if kids is None:
+            kids = children(node)
+            if kids:
+                todo.append((node, kids))
+                todo.extend((kid, None) for kid in reversed(kids))
+                continue
+        if kids:
+            results = tuple(done[-len(kids) :])
+            del done[-len(kids) :]
+        else:
+            results = ()
+        done.append(f(node, results))
+    return done[0]
+
+
+# ---------------------------------------------------------------------------
 # Duality and desugaring on expressions
 
 def dualize_expr(e: Expression) -> Expression:
@@ -326,53 +407,17 @@ def rename(value: Renameable, side: str) -> Renameable:
     """Append ``side`` to the freshness path of every address in ``value``."""
     if side not in _SIDES:
         raise ValueError(f"freshness side must be 'l' or 'r', got {side!r}")
-    return _rename(value, side)
+    if isinstance(value, Address):
+        return value.extended(side)
 
+    def renamed(node, kids):
+        if type(node) is Addr:
+            return Addr(node.address.extended(side), span=node.span)
+        if type(node) is Choose or type(node) is Bang:
+            node = replace(node, bound=tuple(a.extended(side) for a in node.bound))
+        return rebuild(node, kids)
 
-def _rename(value, side):
-    match value:
-        case Address():
-            return value.extended(side)
-        case Addr(address):
-            return Addr(address.extended(side), span=value.span)
-        case Unit() | Dispose():
-            return value
-        case Dual(inner):
-            return Dual(_rename(inner, side), span=value.span)
-        case Iso(left, right):
-            return Iso(_rename(left, side), _rename(right, side), span=value.span)
-        case Conn(left, right):
-            return Conn(_rename(left, side), _rename(right, side), span=value.span)
-        case Inl(inner):
-            return Inl(_rename(inner, side), span=value.span)
-        case Inr(inner):
-            return Inr(_rename(inner, side), span=value.span)
-        case Store(inner):
-            return Store(_rename(inner, side), span=value.span)
-        case Contract(left, right):
-            return Contract(_rename(left, side), _rename(right, side), span=value.span)
-        case Choose(bound, left, right):
-            return Choose(
-                tuple(a.extended(side) for a in bound),
-                _rename(left, side),
-                _rename(right, side),
-                span=value.span,
-            )
-        case Bang(bound, body):
-            return Bang(
-                tuple(a.extended(side) for a in bound),
-                _rename(body, side),
-                span=value.span,
-            )
-        case Transaction(left, right):
-            return Transaction(_rename(left, side), _rename(right, side), span=value.span)
-        case Program(interface, pending):
-            return Program(
-                tuple(_rename(e, side) for e in interface),
-                tuple(_rename(t, side) for t in pending),
-                span=value.span,
-            )
-    raise TypeError(f"cannot rename {value!r}")
+    return fold(value, renamed)
 
 
 # ---------------------------------------------------------------------------
@@ -393,33 +438,6 @@ def context_binders(box: Choose | Bang) -> tuple[Address, ...]:
     return box.bound
 
 
-def _free(e) -> set[Address]:
-    match e:
-        case Addr(address):
-            return {address}
-        case Unit() | Dispose():
-            return set()
-        case Dual(inner) | Inl(inner) | Inr(inner) | Store(inner):
-            return _free(inner)
-        case Iso(left, right) | Conn(left, right) | Contract(left, right):
-            return _free(left) | _free(right)
-        case Choose(bound, left, right):
-            inner = _free(left) | _free(right)
-            return set(context_binders(e)) | (inner - set(bound))
-        case Bang(bound, body):
-            return set(bound) | (_free(body) - set(bound))
-        case Transaction(left, right):
-            return _free(left) | _free(right)
-        case Program(interface, pending):
-            out: set[Address] = set()
-            for entry in interface:
-                out |= _free(entry)
-            for txn in pending:
-                out |= _free(txn)
-            return out
-    raise TypeError(f"cannot analyse {e!r}")
-
-
 def free_addresses(value: Expression | Transaction | Program) -> frozenset[Address]:
     """Addresses visible to the enclosing scope.
 
@@ -428,24 +446,49 @@ def free_addresses(value: Expression | Transaction | Program) -> frozenset[Addre
     binds do not leak. The placeholder binder of a menu is inert and is not
     reported.
     """
-    return frozenset(_free(value))
+
+    def free(node, kids):
+        if type(node) is Addr:
+            return {node.address}
+        out = set().union(*kids)
+        if type(node) is Choose or type(node) is Bang:
+            return set(context_binders(node)) | (out - set(node.bound))
+        return out
+
+    return frozenset(fold(value, free))
 
 
 # Occurrence sites, used by the linearity census and the reducer. Boxes are
-# opaque: only their binder lists count at the enclosing level.
+# opaque: only their context binders count at the enclosing level, as
+# BINDER sites.
 
 ENTRY = "interface"
 PENDING = "pending"
+BINDER = "binder"
+
+
+def _surface(e: Expression, tag: str) -> Iterator[tuple[Address, str]]:
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is Addr:
+            yield (node.address, tag)
+        elif type(node) is Choose or type(node) is Bang:
+            for binder in context_binders(node):
+                yield (binder, BINDER)
+        else:
+            stack.extend(reversed(children(node)))
 
 
 def surface_occurrences(program: Program) -> Iterator[tuple[Address, str]]:
+    """Every occurrence site of ``program``'s own level, left to right,
+    tagged ENTRY (interface), PENDING (a transaction side) or BINDER (a
+    box's context binder, wherever the box sits). Iterative."""
     for entry in program.interface:
-        for address in surface_addresses(entry):
-            yield (address, ENTRY)
+        yield from _surface(entry, ENTRY)
     for txn in program.pending:
-        for side in (txn.left, txn.right):
-            for address in surface_addresses(side):
-                yield (address, PENDING)
+        yield from _surface(txn.left, PENDING)
+        yield from _surface(txn.right, PENDING)
 
 
 def surface_addresses(e: Expression) -> list[Address]:
@@ -453,25 +496,7 @@ def surface_addresses(e: Expression) -> list[Address]:
 
     Iterative, so arbitrarily deep ``*``-chains of literals are fine.
     """
-    out: list[Address] = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Addr(address):
-                out.append(address)
-            case Unit() | Dispose():
-                pass
-            case Dual(inner) | Inl(inner) | Inr(inner) | Store(inner):
-                stack.append(inner)
-            case Iso(left, right) | Conn(left, right) | Contract(left, right):
-                stack.append(right)
-                stack.append(left)
-            case Choose() | Bang():
-                out.extend(context_binders(node))
-            case _:
-                raise TypeError(f"cannot analyse {node!r}")
-    return out
+    return [address for address, _ in _surface(e, PENDING)]
 
 
 # ---------------------------------------------------------------------------
@@ -479,54 +504,12 @@ def surface_addresses(e: Expression) -> list[Address]:
 
 def node_count(value) -> int:
     """Number of syntax nodes, counting through box bodies."""
-    match value:
-        case Addr() | Unit() | Dispose():
-            return 1
-        case Dual(inner) | Inl(inner) | Inr(inner) | Store(inner):
-            return 1 + node_count(inner)
-        case Iso(l, r) | Conn(l, r) | Contract(l, r):
-            return 1 + node_count(l) + node_count(r)
-        case Choose(_, left, right):
-            return 1 + node_count(left) + node_count(right)
-        case Bang(_, body):
-            return 1 + node_count(body)
-        case Transaction(l, r):
-            return 1 + node_count(l) + node_count(r)
-        case Program(interface, pending):
-            return 1 + sum(map(node_count, interface)) + sum(map(node_count, pending))
-    raise TypeError(f"cannot count {value!r}")
+    return sum(1 for _ in walk(value))
 
 
 def unit_multiset(value) -> Counter:
-    """Multiset of currency literals, counting through box bodies.
-
-    Iterative, so arbitrarily deep ``*``-chains of literals are fine.
-    """
-    out: Counter = Counter()
-    stack = [value]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Unit(unit):
-                out[unit] += 1
-            case Addr() | Dispose():
-                pass
-            case Dual(inner) | Inl(inner) | Inr(inner) | Store(inner):
-                stack.append(inner)
-            case Iso(l, r) | Conn(l, r) | Contract(l, r) | Transaction(l, r):
-                stack.append(r)
-                stack.append(l)
-            case Choose(_, left, right):
-                stack.append(right)
-                stack.append(left)
-            case Bang(_, body):
-                stack.append(body)
-            case Program(interface, pending):
-                stack.extend(reversed(pending))
-                stack.extend(reversed(interface))
-            case _:
-                raise TypeError(f"cannot count {node!r}")
-    return out
+    """Multiset of currency literals, counting through box bodies."""
+    return Counter(node.unit for node in walk(value) if type(node) is Unit)
 
 
 # ---------------------------------------------------------------------------
@@ -604,31 +587,23 @@ def _alpha(a, b, bij: _Bijection) -> bool:
 
 def _erase_key(value) -> str:
     """A path-insensitive structural key, used to prune pending matching."""
-    match value:
-        case Addr():
-            return f"a:{value.address.name}"
-        case Unit():
-            return f"u:{value.unit}"
-        case Dispose():
-            return "_"
-        case Dual() | Inl() | Inr() | Store():
-            return f"{type(value).__name__}({_erase_key(value.inner)})"
-        case Iso() | Conn() | Contract():
-            return f"{type(value).__name__}({_erase_key(value.left)},{_erase_key(value.right)})"
-        case Choose():
-            names = ",".join(x.name for x in value.bound)
-            return f"Choose[{names}]({_erase_key(value.left)};{_erase_key(value.right)})"
-        case Bang():
-            names = ",".join(x.name for x in value.bound)
-            return f"Bang[{names}]({_erase_key(value.body)})"
-        case Transaction():
-            sides = sorted((_erase_key(value.left), _erase_key(value.right)))
-            return f"txn({sides[0]},{sides[1]})"
-        case Program():
-            i = ",".join(_erase_key(e) for e in value.interface)
-            p = ";".join(_erase_key(t) for t in value.pending)
-            return f"({i}){{{p}}}"
-    raise TypeError(f"cannot key {value!r}")
+
+    def key(node, kids):
+        if type(node) is Transaction:
+            kids = sorted(kids)
+        if type(node) is Addr:
+            data = node.address.name
+        elif type(node) is Unit:
+            data = node.unit
+        elif type(node) is Choose or type(node) is Bang:
+            data = ",".join(x.name for x in node.bound)
+        elif type(node) is Program:
+            data = str(len(node.interface))
+        else:
+            data = ""
+        return f"{type(node).__name__}[{data}]({','.join(kids)})"
+
+    return fold(value, key)
 
 
 def _alpha_pending(xs, ys, bij) -> bool:

@@ -39,12 +39,17 @@ DEFAULT_UNIT = "satoshi"
 
 @dataclass(frozen=True)
 class Derivation:
-    """One rule application: its label, subject, assigned type, premises."""
+    """One rule application: its label, the typed node, assigned type, premises."""
 
     rule: str
-    subject: str
+    node: sx.Expression | sx.Transaction | sx.Program
     type: sx.LinearType | None
     children: tuple["Derivation", ...] = ()
+
+    @property
+    def subject(self) -> str:
+        """The typed node in concrete syntax."""
+        return render(self.node)
 
 
 @dataclass(frozen=True)
@@ -64,26 +69,8 @@ class _TVar(sx.LinearType):
     id: int
     negated: bool = False
 
-
-def _dual(t: sx.LinearType) -> sx.LinearType:
-    if isinstance(t, _TVar):
-        return _TVar(t.id, not t.negated)
-    match t:
-        case sx.Atom(unit, negated):
-            return sx.Atom(unit, not negated)
-        case sx.Tensor(left, right):
-            return sx.Par(_dual(left), _dual(right))
-        case sx.Par(left, right):
-            return sx.Tensor(_dual(left), _dual(right))
-        case sx.With(left, right):
-            return sx.Plus(_dual(left), _dual(right))
-        case sx.Plus(left, right):
-            return sx.With(_dual(left), _dual(right))
-        case sx.OfCourse(body):
-            return sx.WhyNot(_dual(body))
-        case sx.WhyNot(body):
-            return sx.OfCourse(_dual(body))
-    raise TypeError(f"not a LinearType: {t!r}")
+    def __str__(self):
+        return f"T{self.id}" + ("^" if self.negated else "")
 
 
 class _UnifyError(Exception):
@@ -108,7 +95,7 @@ class _Unifier:
             if bound is None:
                 return t
             resolved = self.resolve(bound)
-            return _dual(resolved) if t.negated else resolved
+            return sx.dual(resolved) if t.negated else resolved
         match t:
             case sx.Atom():
                 return t
@@ -126,25 +113,13 @@ class _Unifier:
                 return sx.WhyNot(self.resolve(b))
         raise TypeError(f"not a LinearType: {t!r}")
 
-    def _occurs(self, var_id: int, t: sx.LinearType) -> bool:
-        if isinstance(t, _TVar):
-            return t.id == var_id
-        match t:
-            case sx.Atom():
-                return False
-            case sx.Tensor(l, r) | sx.Par(l, r) | sx.With(l, r) | sx.Plus(l, r):
-                return self._occurs(var_id, l) or self._occurs(var_id, r)
-            case sx.OfCourse(b) | sx.WhyNot(b):
-                return self._occurs(var_id, b)
-        raise TypeError(f"not a LinearType: {t!r}")
-
     def _bind(self, var: _TVar, t: sx.LinearType):
-        value = _dual(t) if var.negated else t
+        value = sx.dual(t) if var.negated else t
         if isinstance(value, _TVar) and value.id == var.id:
             if value.negated:
                 raise _UnifyError("a type cannot be its own dual")
             return
-        if self._occurs(var.id, value):
+        if any(type(n) is _TVar and n.id == var.id for n in sx.walk(value)):
             raise _UnifyError("cyclic type")
         self.subst[var.id] = value
 
@@ -180,9 +155,6 @@ class _Unifier:
 # ---------------------------------------------------------------------------
 # The checking scope
 
-_BINDER = "binder"
-
-
 class _Scope:
     def __init__(self, program, declared, unifier: _Unifier):
         self.program = program
@@ -203,13 +175,8 @@ class _Scope:
     # -- linearity census ----------------------------------------------------
 
     def _run_census(self):
-        for entry in self.program.interface:
-            for address, tag in _sites(entry, sx.ENTRY):
-                self.census.setdefault(address, []).append(tag)
-        for txn in self.program.pending:
-            for side in (txn.left, txn.right):
-                for address, tag in _sites(side, sx.PENDING):
-                    self.census.setdefault(address, []).append(tag)
+        for address, tag in sx.surface_occurrences(self.program):
+            self.census.setdefault(address, []).append(tag)
         for address, tags in self.census.items():
             if len(tags) == 2:
                 continue
@@ -227,7 +194,7 @@ class _Scope:
             )
         if known:
             try:
-                self.unifier.unify(t, _dual(known[0]))
+                self.unifier.unify(t, sx.dual(known[0]))
             except _UnifyError as err:
                 raise TypeMismatchError(
                     f"occurrences of {address.render()} must have dual types: {err}", span
@@ -244,19 +211,19 @@ class _Scope:
         txn_derivs = [self._type_txn(txn) for txn in self.program.pending]
         types = [self.unifier.resolve(t) for t in self.declared]
         derivation = Derivation(
-            "Program", render(self.program), None, tuple(entry_derivs + txn_derivs)
+            "Program", self.program, None, tuple(entry_derivs + txn_derivs)
         )
         return types, derivation
 
     def _type_txn(self, txn) -> Derivation:
         lt, ld = self._type_expr(txn.left, None)
         try:
-            _, rd = self._type_expr(txn.right, _dual(lt))
+            _, rd = self._type_expr(txn.right, sx.dual(lt))
         except _UnifyError as err:
             raise TypeMismatchError(
                 f"transaction joins non-dual types: {err}", txn.span
             ) from None
-        return Derivation("Cut", render(txn), lt, (ld, rd))
+        return Derivation("Cut", txn, lt, (ld, rd))
 
     # -- expression typing ------------------------------------------------------
 
@@ -292,47 +259,47 @@ class _Scope:
             case sx.Addr(address):
                 t = expected if expected is not None else self.unifier.fresh()
                 self._learn(address, t, e.span)
-                return t, Derivation("Axiom", address.render(), t)
+                return t, Derivation("Axiom", e, t)
             case sx.Unit(unit):
                 t = sx.Atom(unit)
                 self._match_expected(expected, t, e.span)
-                return t, Derivation("Literal", unit, t)
+                return t, Derivation("Literal", e, t)
             case sx.Dual(sx.Unit(unit)):
                 t = sx.Atom(unit, True)
                 self._match_expected(expected, t, e.span)
-                return t, Derivation("Literal", unit + "^", t)
+                return t, Derivation("Literal", e, t)
             case sx.Dual():
                 raise TypeMismatchError("dual marker survives only on literals", e.span)
             case sx.Iso(left, right):
                 out, (lw, rw) = self._want(expected, sx.Tensor, e.span, "an isolation")
                 _, ld = self._type_expr(left, lw)
                 _, rd = self._type_expr(right, rw)
-                return out, Derivation("Tensor", render(e), out, (ld, rd))
+                return out, Derivation("Tensor", e, out, (ld, rd))
             case sx.Conn(left, right):
                 out, (lw, rw) = self._want(expected, sx.Par, e.span, "a connection")
                 _, ld = self._type_expr(left, lw)
                 _, rd = self._type_expr(right, rw)
-                return out, Derivation("Par", render(e), out, (ld, rd))
+                return out, Derivation("Par", e, out, (ld, rd))
             case sx.Store(inner):
                 out, (bw,) = self._want(expected, sx.WhyNot, e.span, "storage")
                 _, deriv = self._type_expr(inner, bw)
-                return out, Derivation("Storage", render(e), out, (deriv,))
+                return out, Derivation("Storage", e, out, (deriv,))
             case sx.Dispose():
                 out, _ = self._want(expected, sx.WhyNot, e.span, "disposal")
-                return out, Derivation("Disposal", "_", out)
+                return out, Derivation("Disposal", e, out)
             case sx.Contract(left, right):
                 out, _ = self._want(expected, sx.WhyNot, e.span, "contraction")
                 _, ld = self._type_expr(left, out)
                 _, rd = self._type_expr(right, out)
-                return out, Derivation("Contraction", render(e), out, (ld, rd))
+                return out, Derivation("Contraction", e, out, (ld, rd))
             case sx.Inl(inner):
                 out, (lw, _) = self._want(expected, sx.Plus, e.span, "a selection")
                 _, deriv = self._type_expr(inner, lw)
-                return out, Derivation("Left", render(e), out, (deriv,))
+                return out, Derivation("Left", e, out, (deriv,))
             case sx.Inr(inner):
                 out, (_, rw) = self._want(expected, sx.Plus, e.span, "a selection")
                 _, deriv = self._type_expr(inner, rw)
-                return out, Derivation("Right", render(e), out, (deriv,))
+                return out, Derivation("Right", e, out, (deriv,))
             case sx.Choose():
                 return self._type_choose(e, expected)
             case sx.Bang():
@@ -401,8 +368,8 @@ class _Scope:
                     box.span,
                 ) from None
         for x, g in zip(binders, left_types[1:]):
-            self._learn(x, _dual(g), box.span)
-        return out, Derivation("With", render(box), out, (left_deriv, right_deriv))
+            self._learn(x, sx.dual(g), box.span)
+        return out, Derivation("With", box, out, (left_deriv, right_deriv))
 
     def _type_bang(self, box, expected):
         binders = self._binder_split(box)
@@ -419,27 +386,8 @@ class _Scope:
                     box.span,
                 )
         for x, g in zip(binders, types[1:]):
-            self._learn(x, _dual(g), box.span)
-        return out, Derivation("Replication", render(box), out, (deriv,))
-
-
-def _sites(e, tag):
-    """Surface occurrences with binder occurrences tagged separately."""
-    match e:
-        case sx.Addr(address):
-            yield (address, tag)
-        case sx.Unit() | sx.Dispose():
-            return
-        case sx.Dual(inner) | sx.Inl(inner) | sx.Inr(inner) | sx.Store(inner):
-            yield from _sites(inner, tag)
-        case sx.Iso(left, right) | sx.Conn(left, right) | sx.Contract(left, right):
-            yield from _sites(left, tag)
-            yield from _sites(right, tag)
-        case sx.Choose() | sx.Bang():
-            for binder in sx.context_binders(e):
-                yield (binder, _BINDER)
-        case _:
-            raise TypeError(f"cannot analyse {e!r}")
+            self._learn(x, sx.dual(g), box.span)
+        return out, Derivation("Replication", box, out, (deriv,))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +397,7 @@ def _resolve_derivation(deriv: Derivation, unifier: _Unifier) -> Derivation:
     t = None if deriv.type is None else unifier.resolve(deriv.type)
     return Derivation(
         deriv.rule,
-        deriv.subject,
+        deriv.node,
         t,
         tuple(_resolve_derivation(c, unifier) for c in deriv.children),
     )
@@ -473,24 +421,11 @@ def check(
         raise TypeMismatchError(str(err), program.span) from None
     unifier.default_leftovers()
     types = [unifier.resolve(t) for t in types]
-    if any(_has_var(t) for t in types):
+    if any(isinstance(n, _TVar) for t in types for n in sx.walk(t)):
         raise TypeMismatchError("could not resolve all interface types", program.span)
     return TypedJudgment(
         program, tuple(types), _resolve_derivation(derivation, unifier)
     )
-
-
-def _has_var(t: sx.LinearType) -> bool:
-    if isinstance(t, _TVar):
-        return True
-    match t:
-        case sx.Atom():
-            return False
-        case sx.Tensor(l, r) | sx.Par(l, r) | sx.With(l, r) | sx.Plus(l, r):
-            return _has_var(l) or _has_var(r)
-        case sx.OfCourse(b) | sx.WhyNot(b):
-            return _has_var(b)
-    raise TypeError(f"not a LinearType: {t!r}")
 
 
 # -- expression-level checking against an explicit context --------------------
@@ -547,102 +482,51 @@ def check_expression(
 
     The context plays the role of the surrounding resources: a binding is
     consumed exactly where its expression occurs, and the residual context
-    is returned alongside the type. Addresses not bound in the context are
-    rejected; a selection needs an expected ``A + B`` to supply the absent
-    summand.
+    is returned alongside the type. The check is :func:`check` on a derived
+    program: each consumed binding, and each box (typed on its own by
+    ``check``), becomes a fresh port whose partner is an interface port
+    declared at the dual type. Addresses not bound in the context are
+    rejected, and so is a type that still holds an unknown, such as a
+    selection without an expected ``A + B`` to supply the absent summand.
+
+    Both operands of a contraction are typed at one ``?``-type, so a hole
+    one operand leaves is filled by the other: ``_ @ b`` with ``b : ?btc``
+    has type ``?btc``.
     """
     ctx = context.copy()
+    ports: list[sx.Expression] = []
+    declared: list[sx.LinearType | None] = [expected]
 
-    def go(node, want):
+    def cut_out(node):
         bound = ctx.consume(node)
+        if bound is None and isinstance(node, (sx.Choose, sx.Bang)):
+            # Typed on its own: its context binders get open partner ports.
+            binders = [sx.Addr(x) for x in sx.context_binders(node)]
+            box = sx.Program((node, *binders), ())
+            judgment = check(box, [None] * len(box.interface), default_unit=default_unit)
+            bound = judgment.interface_types[0]
         if bound is not None:
-            if want is not None and want != bound:
-                raise TypeMismatchError(
-                    f"expected {render(want)}, found {render(bound)}",
-                    getattr(node, "span", None),
-                )
-            return bound
-        match node:
-            case sx.Unit(unit):
-                t = sx.Atom(unit)
-            case sx.Dual(sx.Unit(unit)):
-                t = sx.Atom(unit, True)
-            case sx.Iso(left, right):
-                if isinstance(want, sx.Tensor):
-                    t = sx.Tensor(go(left, want.left), go(right, want.right))
-                else:
-                    t = sx.Tensor(go(left, None), go(right, None))
-            case sx.Conn(left, right):
-                if isinstance(want, sx.Par):
-                    t = sx.Par(go(left, want.left), go(right, want.right))
-                else:
-                    t = sx.Par(go(left, None), go(right, None))
-            case sx.Store(inner):
-                t = sx.WhyNot(go(inner, want.body if isinstance(want, sx.WhyNot) else None))
-            case sx.Contract(left, right):
-                lt = go(left, want)
-                rt = go(right, lt)
-                if lt != rt or not isinstance(lt, sx.WhyNot):
-                    raise TypeMismatchError(
-                        "contraction joins two uses of one ?-typed resource",
-                        getattr(node, "span", None),
-                    )
-                t = lt
-            case sx.Inl(inner):
-                if not isinstance(want, sx.Plus):
-                    raise TypeMismatchError(
-                        "selection needs an expected A + B type", getattr(node, "span", None)
-                    )
-                go(inner, want.left)
-                t = want
-            case sx.Inr(inner):
-                if not isinstance(want, sx.Plus):
-                    raise TypeMismatchError(
-                        "selection needs an expected A + B type", getattr(node, "span", None)
-                    )
-                go(inner, want.right)
-                t = want
-            case sx.Dispose():
-                if not isinstance(want, sx.WhyNot):
-                    raise TypeMismatchError(
-                        "disposal needs an expected ?A type", getattr(node, "span", None)
-                    )
-                t = want
-            case sx.Addr(address):
-                raise TypeMismatchError(
-                    f"address {address.render()} is not bound in the context",
-                    getattr(node, "span", None),
-                )
-            case sx.Choose() | sx.Bang():
-                t = _box_type(node, default_unit)
-            case _:
-                raise TypeMismatchError(
-                    f"cannot type {type(node).__name__}", getattr(node, "span", None)
-                )
-        if want is not None and t != want:
+            ports.append(sx.Addr(sx.Address(f"port{len(ports)}")))
+            declared.append(sx.dual(bound))
+            return ports[-1]
+        if isinstance(node, sx.Addr):
             raise TypeMismatchError(
-                f"expected {render(want)}, found {render(t)}", getattr(node, "span", None)
+                f"address {node.address.render()} is not bound in the context", node.span
             )
-        return t
+        if isinstance(node, sx.Dual):
+            return node  # a demand literal is one leaf of the typing rules
+        return sx.rebuild(node, [cut_out(kid) for kid in sx.children(node)])
 
-    result = go(e, expected)
-    return result, ctx
-
-
-def _box_type(node, default_unit) -> sx.LinearType:
-    """Synthesise a box's type by checking its branch programs standalone."""
+    body = cut_out(e)
     unifier = _Unifier(default_unit)
-    if isinstance(node, sx.Choose):
-        left = _Scope(node.left, [None] * len(node.left.interface), unifier)
-        ltypes, _ = left.run()
-        right = _Scope(node.right, [None] * len(node.right.interface), unifier)
-        rtypes, _ = right.run()
-        unifier.default_leftovers()
-        return sx.With(unifier.resolve(ltypes[0]), unifier.resolve(rtypes[0]))
-    body = _Scope(node.body, [None] * len(node.body.interface), unifier)
-    types, _ = body.run()
-    unifier.default_leftovers()
-    return sx.OfCourse(unifier.resolve(types[0]))
+    try:
+        types, _ = _Scope(sx.Program((body, *ports), ()), declared, unifier).run()
+    except _UnifyError as err:
+        raise TypeMismatchError(str(err), e.span) from None
+    result = unifier.resolve(types[0])
+    if any(isinstance(n, _TVar) for n in sx.walk(result)):
+        raise TypeMismatchError("could not resolve the expression's type", e.span)
+    return result, ctx
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,24 @@ class TestCheck:
         assert code == 1
         assert err.startswith("ERROR kind=type")
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(){ txn(_, satoshi) }\n",
+            "(){ txn(inl(satoshi), satoshi) }\n",
+            # A deep literal cut against an atom; the census walks it.
+            "-- types: satoshi\n(a){ txn(a, 3000.satoshi) }\n",
+        ],
+    )
+    def test_mismatch_is_one_error_line(self, capsys, tmp_path, source):
+        script = tmp_path / "mismatch.llbc"
+        script.write_text(source)
+        code, out, err = run_cli(capsys, "check", str(script))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ERROR kind=type-mismatch")
+        assert err.count("\n") == 1
+
 
 class TestRun:
     def test_prints_normal_form(self, capsys, spend_path):
@@ -82,6 +100,17 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", str(script))
         assert code == 0, err
         assert out.strip() == "(a){ txn(a, 100000 . satoshi) }"
+
+    def test_copy_of_box_holding_deep_literal(self, capsys, tmp_path):
+        script = tmp_path / "copy.llbc"
+        script.write_text("(s){ txn(!(s){ (3000.satoshi, ?btc){} }, e1 @ e2) }\n")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == 0, err
+        assert out.strip() == (
+            "(s){ txn(s, s.l @ s.r); "
+            "txn(!(s.l){ (3000 . satoshi, ?btc){} }, e1); "
+            "txn(!(s.r){ (3000 . satoshi, ?btc){} }, e2) }"
+        )
 
 
 class TestLedger:

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from llbc import parser
 from llbc import syntax as sx
-from llbc.errors import DualityError
+from llbc import typecheck as tc
+from llbc.errors import DualityError, NonLinearAddressError
 
 sat = sx.Atom("satoshi")
 btc = sx.Atom("btc")
@@ -228,3 +229,48 @@ class TestCounting:
     def test_node_count_positive(self):
         p = parser.parse_program("(x){ txn(x, satoshi) }")
         assert sx.node_count(p) == 5  # program, txn, interface addr, txn addr, unit
+
+
+class TestTraversal:
+    # Every expression form, every type connective, a menu, a replication
+    # box, transactions and programs.
+    ALL_FORMS = (
+        "(a, inl(b) * inr(c), ?d @ e, _){ txn(f # g, h^); txn(satoshi^, i); "
+        "txn(choose(m){ (j){}; (k){} }, !(n){ (p, n){ txn(p, 2 . btc) } }) }"
+    )
+    ALL_TYPES = "(!satoshi # ?btc^) * (satoshi & btc + btc)"
+
+    def test_every_node_kind_rebuilds(self):
+        kinds = {
+            cls
+            for cls in vars(sx).values()
+            if isinstance(cls, type)
+            and issubclass(cls, (sx.Expression, sx.LinearType, sx.Transaction, sx.Program))
+            and cls not in (sx.Expression, sx.LinearType)
+        }
+        roots = (parser.parse_program(self.ALL_FORMS), parser.parse_type(self.ALL_TYPES))
+        seen = set()
+        for root in roots:
+            for node in sx.walk(root):
+                seen.add(type(node))
+                assert sx.rebuild(node, sx.children(node)) == node
+        assert seen == kinds
+
+    def test_deep_literal(self):
+        literal = parser.parse_expression("100000 . satoshi")
+        assert sx.node_count(literal) == 2 * 100000 - 1
+        assert sx.unit_multiset(literal) == {"satoshi": 100000}
+        assert sx.free_addresses(literal) == frozenset()
+        txn = sx.Transaction(sx.Addr(sx.Address("a")), literal)
+        renamed = sx.rename(txn, sx.LEFT)
+        assert renamed.left.address == sx.Address("a", (sx.LEFT,))
+        assert sx.node_count(renamed) == sx.node_count(txn)
+
+    def test_unpartnered_binder_in_interface_rejected(self):
+        # The box's context binder m is an occurrence of the enclosing
+        # program with no partner there.
+        p = parser.parse_program("(choose(m){ (satoshi, btc){}; (satoshi, btc){} }){}")
+        with pytest.raises(NonLinearAddressError):
+            tc.check(p, [parser.parse_type("satoshi & satoshi")])
+        occurrences = list(sx.surface_occurrences(p))
+        assert occurrences == [(sx.Address("m"), sx.BINDER)]

@@ -265,6 +265,28 @@ class TestCheckExpression:
         assert parser.render(t) == "?satoshi"
         assert residual.fully_consumed()
 
+    def test_contraction_fills_a_hole_from_the_other_operand(self):
+        # Both operands are typed at one ?-type, so the disposal's open body
+        # type is the other operand's.
+        b = parser.parse_expression("b")
+        ctx = tc.TypeContext([(b, parser.parse_type("?btc"))])
+        t, residual = tc.check_expression(parser.parse_expression("_ @ b"), ctx)
+        assert parser.render(t) == "?btc"
+        assert residual.fully_consumed()
+
+    def test_box_is_typed_on_its_own(self):
+        # The menu's context binder m gets an open partner port.
+        box = parser.parse_expression("choose(m){ (satoshi, btc){}; (satoshi, btc){} }")
+        t, _ = tc.check_expression(box, tc.TypeContext())
+        assert parser.render(t) == "satoshi & satoshi"
+
+    def test_demand_literal_is_one_leaf(self):
+        unit = parser.parse_expression("satoshi")
+        ctx = tc.TypeContext([(unit, parser.parse_type("btc"))])
+        t, residual = tc.check_expression(parser.parse_expression("satoshi^"), ctx)
+        assert parser.render(t) == "satoshi^"
+        assert len(residual.residual()) == 1
+
     def test_residual_context(self):
         a, b = parser.parse_expression("a"), parser.parse_expression("b")
         ctx = tc.TypeContext([(a, parser.parse_type("satoshi")), (b, parser.parse_type("btc"))])
