@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import chains as ch
-from .errors import FuelExhausted, LlbcError
+from .errors import LlbcError
 from .parser import parse_script, render
 from .reduce import DEFAULT_FUEL, normalize, readback_ledger
 from .typecheck import check
@@ -190,14 +190,9 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except FuelExhausted as err:
-        return _fail(err)
     except LlbcError as err:
         return _fail(err)
-    except FileNotFoundError as err:
-        print(_error_line("io", msg=json.dumps(str(err))), file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(_error_line("io", msg=json.dumps(str(err))), file=sys.stderr)
         return 1
 

@@ -1,14 +1,19 @@
-"""Concrete syntax: lexer, recursive-descent parser, and pretty printer.
+"""Concrete syntax: lexer, operator-precedence parser, and pretty printer.
 
-Surface syntax, tightest binding first::
+Expressions and types share one table of infix operators (``_INFIX``),
+tightest binding last::
 
-    ^                 postfix dual
-    ? inl inr         prefixes (and the ! / choose boxes)
-    *                 isolation / tensor      (left associative)
-    #                 connection / par        (left associative)
-    @                 contraction             (left associative)
-    & +               with / plus, types only (left associative)
-    -o                obligation              (right associative)
+    -o      obligation / linear implication   (right associative, sugar)
+    +       plus, types only                  (left associative)
+    &       with, types only                  (left associative)
+    @       contraction, expressions only     (left associative)
+    #       connection / par                  (left associative)
+    *       isolation / tensor                (left associative)
+
+Above them bind the prefixes ``?`` (and ``!`` on types; ``inl``/``inr`` and
+the ``!``/``choose`` boxes on expressions) and, tightest, the postfix dual
+``^``. One precedence-climbing method reads the table for both sorts; an
+operator with no constructor in the sort being parsed ends the operand.
 
 ``N . unit`` abbreviates an N-fold ``*`` chain of unit literals, grouped to
 the left like explicit ``*``. ``//`` comments run to end of line. A script
@@ -16,12 +21,15 @@ file may begin with a type header line ``-- types: A1, A2, ...`` declaring
 the interface types.
 
 ``render`` is the inverse of parsing: ``parse(render(v))`` equals ``v`` up
-to source spans, and output carries only the parentheses the precedence
-table requires.
+to source spans, and output carries only the parentheses the same table
+requires: the left operand of a level-L operator renders at level L, the
+right at L + 1.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import syntax as sx
 from .errors import DualityError, ParseError
@@ -30,6 +38,7 @@ from .units import DEFAULT_UNITS
 KEYWORDS = frozenset({"txn", "choose", "inl", "inr"})
 
 _PUNCT = {
+    "-o": "LOLLI",
     "(": "LPAREN",
     ")": "RPAREN",
     "{": "LBRACE",
@@ -47,6 +56,10 @@ _PUNCT = {
     ".": "DOT",
 }
 
+# Groups: 1 newline, 2 punctuation, 3 word, 4 anything else (an error).
+# Blanks and comments match without a group and are skipped.
+_LEXEME = re.compile(r"(\n)|[ \t\r]+|//[^\n]*|(-o|[(){},;*#@^?!&+.])|(\w+)|(.)", re.DOTALL)
+
 
 @dataclass(frozen=True)
 class Token:
@@ -57,56 +70,77 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
+    append = tokens.append
+    span = sx.SourceSpan
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        group = m.lastindex
+        if group is None:
+            continue
+        start = m.start()
+        if group == 1:
+            line, line_start = line + 1, start + 1
+            continue
+        word = m.group()
+        where = span(start, m.end(), line, start - line_start + 1)
+        if group == 2:
+            append(Token(_PUNCT[word], word, where))
+        elif group == 3:
+            # ``int`` reads exactly the decimal words; ``isdigit`` would let
+            # superscripts such as "²" through.
+            kind = "INT" if word.isdecimal() else "UNDER" if word == "_" else "IDENT"
+            append(Token(kind, word, where))
+        else:
+            raise ParseError(f"unsupported character {word!r}", where)
     n = len(text)
-
-    def bump(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            bump(1)
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                bump(1)
-            continue
-        start, sl, sc = i, line, col
-        if text.startswith("-o", i):
-            bump(2)
-            tokens.append(Token("LOLLI", "-o", sx.SourceSpan(start, i, sl, sc)))
-            continue
-        if ch in _PUNCT:
-            bump(1)
-            tokens.append(Token(_PUNCT[ch], ch, sx.SourceSpan(start, i, sl, sc)))
-            continue
-        if ch.isalnum() or ch == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                bump(1)
-            word = text[start:i]
-            span = sx.SourceSpan(start, i, sl, sc)
-            if word.isdigit():
-                tokens.append(Token("INT", word, span))
-            elif word == "_":
-                tokens.append(Token("UNDER", word, span))
-            else:
-                tokens.append(Token("IDENT", word, span))
-            continue
-        raise ParseError(
-            f"unsupported character {ch!r}", sx.SourceSpan(start, start + 1, sl, sc)
-        )
-    tokens.append(Token("EOF", "", sx.SourceSpan(n, n, line, col)))
+    append(Token("EOF", "", span(n, n, line, n - line_start + 1)))
     return tokens
+
+
+class _Op(NamedTuple):
+    """An infix operator: its text, its binding level (higher binds
+    tighter), and the node it builds in each sort, or None where the sort
+    lacks it. Constructors take ``(left, right, span=...)``."""
+
+    text: str
+    level: int
+    expr: Callable | None
+    type: Callable | None
+    right_assoc: bool = False
+
+
+_INFIX = {
+    "LOLLI": _Op(
+        "-o",
+        0,
+        lambda a, b, span: sx.desugar_obligation(a, b),
+        lambda a, b, span: sx.Par(sx.dual(a), b),
+        right_assoc=True,
+    ),
+    "PLUS": _Op("+", 1, None, sx.Plus),
+    "AMP": _Op("&", 2, None, sx.With),
+    "AT": _Op("@", 3, sx.Contract, None),
+    "HASH": _Op("#", 4, sx.Conn, sx.Par),
+    "STAR": _Op("*", 5, sx.Iso, sx.Tensor),
+}
+_PREFIX_LEVEL = 6
+_ATOM_LEVEL = 7
+
+# The printer's view of the table: node class -> operator. The obligation
+# builds no node of its own, so only class constructors are keys.
+_OP_OF_NODE = {
+    node: op for op in _INFIX.values() for node in (op.expr, op.type) if isinstance(node, type)
+}
+
+# A sort is named by its constructor column in ``_Op``.
+_EXPR = "expr"
+_TYPE = "type"
+
+
+def _expected(what: str, tok: Token, kind: str) -> ParseError:
+    return ParseError(
+        f"expected {what}, found {tok.text or 'end of input'!r}", tok.span, expected={kind}
+    )
 
 
 class _Parser:
@@ -129,11 +163,7 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}",
-                tok.span,
-                expected={kind},
-            )
+            raise _expected(kind, tok, kind)
         return self.next()
 
     def at(self, kind: str) -> bool:
@@ -143,16 +173,22 @@ class _Parser:
         prev = self.tokens[max(self.pos - 1, 0)].span
         return sx.SourceSpan(begin.begin, prev.end, begin.line, begin.column)
 
+    def finish(self, value):
+        tok = self.peek()
+        if tok.kind != "EOF":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.span)
+        return value
+
     # -- programs ----------------------------------------------------------
 
     def program(self) -> sx.Program:
         begin = self.expect("LPAREN").span
         interface: list[sx.Expression] = []
         if not self.at("RPAREN"):
-            interface.append(self.expression())
+            interface.append(self.infix(_EXPR))
             while self.at("COMMA"):
                 self.next()
-                interface.append(self.expression())
+                interface.append(self.infix(_EXPR))
         self.expect("RPAREN")
         self.expect("LBRACE")
         pending: list[sx.Transaction] = []
@@ -169,92 +205,76 @@ class _Parser:
     def transaction(self) -> sx.Transaction:
         tok = self.peek()
         if not (tok.kind == "IDENT" and tok.text == "txn"):
-            raise ParseError(
-                f"expected txn, found {tok.text or 'end of input'!r}",
-                tok.span,
-                expected={"txn"},
-            )
+            raise _expected("txn", tok, "txn")
         self.next()
         self.expect("LPAREN")
-        left = self.expression()
+        left = self.infix(_EXPR)
         self.expect("COMMA")
-        right = self.expression()
+        right = self.infix(_EXPR)
         self.expect("RPAREN")
         return sx.Transaction(left, right, span=self.span_from(tok.span))
 
-    # -- expressions -------------------------------------------------------
+    # -- operators, both sorts ---------------------------------------------
 
-    def expression(self) -> sx.Expression:
-        return self.obligation()
-
-    def obligation(self) -> sx.Expression:
-        left = self.contraction()
-        if self.at("LOLLI"):
-            tok = self.next()
-            right = self.obligation()
+    def infix(self, sort: str, floor: int = 0):
+        """An operand of ``sort`` joined by operators of level ``floor`` or
+        tighter. Compound expressions span their operands; compound types
+        carry no span."""
+        left = self.prefixed(sort)
+        while True:
+            tok = self.peek()
+            op = _INFIX.get(tok.kind)
+            build = op and getattr(op, sort)
+            if build is None or op.level < floor:
+                return left
+            self.next()
+            right = self.infix(sort, op.level if op.right_assoc else op.level + 1)
             try:
-                out = sx.desugar_obligation(left, right)
+                left = build(left, right, span=self._join(left, right) if sort == _EXPR else None)
             except DualityError as err:
                 raise ParseError(str(err), err.span or tok.span) from err
-            return out
-        return left
 
-    def contraction(self) -> sx.Expression:
-        left = self.connection()
-        while self.at("AT"):
-            self.next()
-            right = self.connection()
-            left = sx.Contract(left, right, span=self._join(left, right))
-        return left
-
-    def connection(self) -> sx.Expression:
-        left = self.isolation()
-        while self.at("HASH"):
-            self.next()
-            right = self.isolation()
-            left = sx.Conn(left, right, span=self._join(left, right))
-        return left
-
-    def isolation(self) -> sx.Expression:
-        left = self.prefixed()
-        while self.at("STAR"):
-            self.next()
-            right = self.prefixed()
-            left = sx.Iso(left, right, span=self._join(left, right))
-        return left
-
-    def prefixed(self) -> sx.Expression:
+    def prefixed(self, sort: str):
         tok = self.peek()
-        if tok.kind == "QUERY":
+        if tok.kind == "QUERY" or (sort == _TYPE and tok.kind == "BANG"):
             self.next()
-            inner = self.prefixed()
+            inner = self.prefixed(sort)
+            if sort == _TYPE:
+                return sx.OfCourse(inner) if tok.kind == "BANG" else sx.WhyNot(inner)
             return sx.Store(inner, span=self.span_from(tok.span))
-        if tok.kind == "IDENT" and tok.text in ("inl", "inr"):
+        if sort == _EXPR and tok.kind == "IDENT" and tok.text in ("inl", "inr"):
             self.next()
             self.expect("LPAREN")
-            inner = self.expression()
+            inner = self.infix(_EXPR)
             self.expect("RPAREN")
             cls = sx.Inl if tok.text == "inl" else sx.Inr
             return cls(inner, span=self.span_from(tok.span))
-        return self.postfixed()
-
-    def postfixed(self) -> sx.Expression:
-        expr = self.primary()
+        value = self.primary(sort)
         while self.at("CARET"):
             tok = self.next()
+            if sort == _TYPE:
+                value = sx.dual(value)
+                continue
             try:
-                expr = sx.dualize_expr(expr)
+                value = sx.dualize_expr(value)
             except DualityError as err:
                 raise ParseError(str(err), tok.span) from err
-        return expr
+        return value
 
-    def primary(self) -> sx.Expression:
+    def primary(self, sort: str):
         tok = self.peek()
         if tok.kind == "LPAREN":
             self.next()
-            expr = self.expression()
+            value = self.infix(sort)
             self.expect("RPAREN")
-            return expr
+            return value
+        if sort == _TYPE:
+            if tok.kind == "IDENT":
+                if tok.text not in self.units:
+                    raise ParseError(f"unknown currency unit {tok.text!r}", tok.span)
+                self.next()
+                return sx.Atom(tok.text, span=tok.span)
+            raise _expected("a type", tok, "type")
         if tok.kind == "UNDER":
             self.next()
             return sx.Dispose(span=tok.span)
@@ -276,11 +296,9 @@ class _Parser:
                     )
                 return sx.Unit(tok.text, span=tok.span)
             return sx.Addr(self.address_suffix(tok), span=self.span_from(tok.span))
-        raise ParseError(
-            f"expected an expression, found {tok.text or 'end of input'!r}",
-            tok.span,
-            expected={"expression"},
-        )
+        raise _expected("an expression", tok, "expression")
+
+    # -- expression forms --------------------------------------------------
 
     def unit_chain(self) -> sx.Expression:
         tok = self.expect("INT")
@@ -358,100 +376,20 @@ class _Parser:
             return None
         return sx.SourceSpan(ls.begin, rs.end, ls.line, ls.column)
 
-    # -- types -------------------------------------------------------------
-
-    def type_expr(self) -> sx.LinearType:
-        left = self.type_plus()
-        if self.at("LOLLI"):
-            self.next()
-            right = self.type_expr()
-            return sx.Par(sx.dual(left), right)
-        return left
-
-    def type_plus(self) -> sx.LinearType:
-        left = self.type_with()
-        while self.at("PLUS"):
-            self.next()
-            left = sx.Plus(left, self.type_with())
-        return left
-
-    def type_with(self) -> sx.LinearType:
-        left = self.type_par()
-        while self.at("AMP"):
-            self.next()
-            left = sx.With(left, self.type_par())
-        return left
-
-    def type_par(self) -> sx.LinearType:
-        left = self.type_tensor()
-        while self.at("HASH"):
-            self.next()
-            left = sx.Par(left, self.type_tensor())
-        return left
-
-    def type_tensor(self) -> sx.LinearType:
-        left = self.type_prefixed()
-        while self.at("STAR"):
-            self.next()
-            left = sx.Tensor(left, self.type_prefixed())
-        return left
-
-    def type_prefixed(self) -> sx.LinearType:
-        tok = self.peek()
-        if tok.kind == "BANG":
-            self.next()
-            return sx.OfCourse(self.type_prefixed())
-        if tok.kind == "QUERY":
-            self.next()
-            return sx.WhyNot(self.type_prefixed())
-        return self.type_postfixed()
-
-    def type_postfixed(self) -> sx.LinearType:
-        t = self.type_primary()
-        while self.at("CARET"):
-            self.next()
-            t = sx.dual(t)
-        return t
-
-    def type_primary(self) -> sx.LinearType:
-        tok = self.peek()
-        if tok.kind == "LPAREN":
-            self.next()
-            t = self.type_expr()
-            self.expect("RPAREN")
-            return t
-        if tok.kind == "IDENT":
-            if tok.text not in self.units:
-                raise ParseError(f"unknown currency unit {tok.text!r}", tok.span)
-            self.next()
-            return sx.Atom(tok.text, span=tok.span)
-        raise ParseError(
-            f"expected a type, found {tok.text or 'end of input'!r}",
-            tok.span,
-            expected={"type"},
-        )
-
-
-def _finish(parser: _Parser, value):
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.span)
-    return value
-
 
 def parse_program(text: str, units: frozenset[str] = DEFAULT_UNITS) -> sx.Program:
     parser = _Parser(text, units)
-    return _finish(parser, parser.program())
+    return parser.finish(parser.program())
 
 
 def parse_expression(text: str, units: frozenset[str] = DEFAULT_UNITS) -> sx.Expression:
     parser = _Parser(text, units)
-    return _finish(parser, parser.expression())
+    return parser.finish(parser.infix(_EXPR))
 
 
 def parse_type(text: str, units: frozenset[str] = DEFAULT_UNITS) -> sx.LinearType:
     parser = _Parser(text, units)
-    return _finish(parser, parser.type_expr())
+    return parser.finish(parser.infix(_TYPE))
 
 
 TYPE_HEADER = "-- types:"
@@ -460,80 +398,44 @@ TYPE_HEADER = "-- types:"
 def parse_script(
     text: str, units: frozenset[str] = DEFAULT_UNITS
 ) -> tuple[sx.Program, list[sx.LinearType] | None]:
-    """Parse a ``.llbc`` script: an optional type header, then one program."""
+    """Parse a ``.llbc`` script: an optional type header, then one program.
+
+    Both parts are parsed in place, with everything else blanked out, so
+    every span points into ``text``.
+    """
     declared = None
     body = text
-    stripped = text.lstrip()
-    if stripped.startswith("--"):
+    if text.lstrip().startswith("--"):
         offset = text.index("--")
-        newline = text.find("\n", offset)
-        header = text[offset:] if newline < 0 else text[offset:newline]
-        if not header.startswith(TYPE_HEADER):
+        end = text.find("\n", offset)
+        end = len(text) if end < 0 else end
+        start = offset + len(TYPE_HEADER)
+        if not text.startswith(TYPE_HEADER, offset):
+            line = text.count("\n", 0, offset) + 1
+            column = offset - text.rfind("\n", 0, offset)
             raise ParseError(
                 "a '--' line must be a type header of the form '-- types: ...'",
-                sx.SourceSpan(offset, offset + len(header), 1, 1),
+                sx.SourceSpan(offset, end, line, column),
             )
-        spec = header[len(TYPE_HEADER) :].strip()
-        declared = [parse_type(part.strip(), units) for part in _split_types(spec)]
-        # Blank the header out rather than slicing it off so spans in the
-        # program body keep their original offsets and line numbers.
-        end = len(text) if newline < 0 else newline
-        body = text[:offset] + " " * (end - offset) + text[end:]
+        declared = []
+        if text[start:end].strip():
+            header = _Parser(_blank(text[:start]) + text[start:end], units)
+            declared.append(header.infix(_TYPE))
+            while header.at("COMMA"):
+                header.next()
+                declared.append(header.infix(_TYPE))
+            header.finish(declared)
+        body = text[:offset] + _blank(text[offset:end]) + text[end:]
     return parse_program(body, units), declared
 
 
-def _split_types(spec: str) -> list[str]:
-    if not spec:
-        return []
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(spec):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(spec[start:i])
-            start = i + 1
-    parts.append(spec[start:])
-    return parts
+def _blank(text: str) -> str:
+    """``text`` with every character but newlines turned into a space."""
+    return re.sub(r"[^\n]", " ", text)
 
 
 # ---------------------------------------------------------------------------
 # Pretty printer
-
-_T_OBLIG, _T_PLUS, _T_WITH, _T_PAR, _T_TENSOR, _T_PREFIX, _T_ATOM = range(7)
-
-
-def _render_type(t: sx.LinearType, level: int) -> str:
-    def wrap(text: str, mine: int) -> str:
-        return f"({text})" if mine < level else text
-
-    match t:
-        case sx.Atom(unit, negated):
-            return unit + ("^" if negated else "")
-        case sx.Tensor(left, right):
-            text = f"{_render_type(left, _T_TENSOR)} * {_render_type(right, _T_PREFIX)}"
-            return wrap(text, _T_TENSOR)
-        case sx.Par(left, right):
-            text = f"{_render_type(left, _T_PAR)} # {_render_type(right, _T_TENSOR)}"
-            return wrap(text, _T_PAR)
-        case sx.With(left, right):
-            text = f"{_render_type(left, _T_WITH)} & {_render_type(right, _T_PAR)}"
-            return wrap(text, _T_WITH)
-        case sx.Plus(left, right):
-            text = f"{_render_type(left, _T_PLUS)} + {_render_type(right, _T_WITH)}"
-            return wrap(text, _T_PLUS)
-        case sx.OfCourse(body):
-            return f"!{_render_type(body, _T_PREFIX)}"
-        case sx.WhyNot(body):
-            return f"?{_render_type(body, _T_PREFIX)}"
-        case sx.LinearType():
-            return str(t)  # a leaf from outside the syntax, such as a checker's unknown
-    raise TypeError(f"not a LinearType: {t!r}")
-
-
-_E_OBLIG, _E_AT, _E_HASH, _E_STAR, _E_PREFIX, _E_ATOM = range(6)
-
 
 def _sugar_chain(e: sx.Expression) -> tuple[int, str] | None:
     """Recognise a left-nested ``*`` chain of one repeated unit literal."""
@@ -555,36 +457,31 @@ def _sugar_chain(e: sx.Expression) -> tuple[int, str] | None:
     return count + 1, unit
 
 
-def _render_expr(e: sx.Expression, level: int) -> str:
-    def wrap(text: str, mine: int) -> str:
-        return f"({text})" if mine < level else text
-
-    match e:
+def _render(value, level: int) -> str:
+    op = _OP_OF_NODE.get(type(value))
+    if op is not None:
+        sugared = _sugar_chain(value) if type(value) is sx.Iso else None
+        if sugared is not None:
+            return f"{sugared[0]} . {sugared[1]}"
+        text = f"{_render(value.left, op.level)} {op.text} {_render(value.right, op.level + 1)}"
+        return f"({text})" if op.level < level else text
+    match value:
         case sx.Addr(address):
             return address.render()
         case sx.Unit(unit):
             return unit
+        case sx.Atom(unit, negated):
+            return unit + ("^" if negated else "")
         case sx.Dual(inner):
-            return f"{_render_expr(inner, _E_ATOM)}^"
-        case sx.Iso(left, right):
-            sugared = _sugar_chain(e)
-            if sugared is not None:
-                count, unit = sugared
-                return f"{count} . {unit}"
-            text = f"{_render_expr(left, _E_STAR)} * {_render_expr(right, _E_PREFIX)}"
-            return wrap(text, _E_STAR)
-        case sx.Conn(left, right):
-            text = f"{_render_expr(left, _E_HASH)} # {_render_expr(right, _E_STAR)}"
-            return wrap(text, _E_HASH)
-        case sx.Contract(left, right):
-            text = f"{_render_expr(left, _E_AT)} @ {_render_expr(right, _E_HASH)}"
-            return wrap(text, _E_AT)
-        case sx.Store(inner):
-            return f"?{_render_expr(inner, _E_PREFIX)}"
+            return f"{_render(inner, _ATOM_LEVEL)}^"
+        case sx.Store(inner) | sx.WhyNot(inner):
+            return f"?{_render(inner, _PREFIX_LEVEL)}"
+        case sx.OfCourse(body):
+            return f"!{_render(body, _PREFIX_LEVEL)}"
         case sx.Inl(inner):
-            return f"inl({_render_expr(inner, _E_OBLIG)})"
+            return f"inl({_render(inner, 0)})"
         case sx.Inr(inner):
-            return f"inr({_render_expr(inner, _E_OBLIG)})"
+            return f"inr({_render(inner, 0)})"
         case sx.Dispose():
             return "_"
         case sx.Choose(bound, left, right):
@@ -593,24 +490,21 @@ def _render_expr(e: sx.Expression, level: int) -> str:
         case sx.Bang(bound, body):
             names = ", ".join(a.render() for a in bound)
             return f"!({names}){{ {render(body)} }}"
-    raise TypeError(f"not an Expression: {e!r}")
-
-
-def render(value) -> str:
-    """Concrete syntax for a program, transaction, expression, or type."""
-    match value:
         case sx.Program(interface, pending):
-            ports = ", ".join(_render_expr(e, _E_OBLIG) for e in interface)
+            ports = ", ".join(render(e) for e in interface)
             if not pending:
                 return f"({ports}){{}}"
             txns = "; ".join(render(t) for t in pending)
             return f"({ports}){{ {txns} }}"
         case sx.Transaction(left, right):
-            return f"txn({_render_expr(left, _E_OBLIG)}, {_render_expr(right, _E_OBLIG)})"
-        case sx.LinearType():
-            return _render_type(value, _T_OBLIG)
-        case sx.Expression():
-            return _render_expr(value, _E_OBLIG)
+            return f"txn({render(left)}, {render(right)})"
         case sx.Address():
             return value.render()
+        case sx.LinearType():
+            return str(value)  # a leaf from outside the syntax, such as a checker's unknown
     raise TypeError(f"cannot render {value!r}")
+
+
+def render(value) -> str:
+    """Concrete syntax for a program, transaction, expression, or type."""
+    return _render(value, 0)

@@ -67,17 +67,7 @@ def _oriented(txn: sx.Transaction):
     yield txn.right, txn.left, True
 
 
-def _choose_context(box: sx.Choose, branch: sx.Program):
-    """Context binders aligned with the branch's non-principal interface,
-    or None when the arities cannot line up."""
-    width = len(branch.interface)
-    if width == 0 or len(box.left.interface) != len(box.right.interface):
-        return None
-    if len(box.bound) == width:
-        return box.bound[1:]
-    if len(box.bound) == width - 1:
-        return box.bound
-    return None
+_OPENING_RULE = {sx.Inl: "Left", sx.Inr: "Right", sx.Store: "Read"}
 
 
 def _match_local(txn: sx.Transaction) -> tuple[str, bool] | None:
@@ -85,15 +75,9 @@ def _match_local(txn: sx.Transaction) -> tuple[str, bool] | None:
         match head, other:
             case (sx.Iso(), sx.Conn()):
                 return ("Pair", flipped)
-            case (sx.Choose(), sx.Inl()):
-                if _choose_context(head, head.left) is not None:
-                    return ("Left", flipped)
-            case (sx.Choose(), sx.Inr()):
-                if _choose_context(head, head.right) is not None:
-                    return ("Right", flipped)
-            case (sx.Bang(), sx.Store()):
-                if len(head.bound) == len(head.body.interface) - 1:
-                    return ("Read", flipped)
+            case (sx.Choose(), sx.Inl() | sx.Inr()) | (sx.Bang(), sx.Store()):
+                if sx.context_binders(head) is not None:
+                    return (_OPENING_RULE[type(other)], flipped)
             case (sx.Bang(), sx.Dispose()):
                 return ("Dispose", flipped)
             case (sx.Bang(), sx.Contract()):
@@ -233,12 +217,11 @@ def _rewrite(
     elif kind in ("Left", "Right"):
         branch = head.left if kind == "Left" else head.right
         dropped = head.right if kind == "Left" else head.left
-        context = _choose_context(head, branch)
         residue = [sx.Transaction(branch.interface[0], other.inner)]
         residue.extend(branch.pending)
         residue.extend(
             sx.Transaction(sx.Addr(x), e)
-            for x, e in zip(context, branch.interface[1:])
+            for x, e in zip(sx.context_binders(head), branch.interface[1:])
         )
         effect.discarded.update(sx.unit_multiset(dropped))
     elif kind == "Read":

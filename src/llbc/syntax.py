@@ -423,19 +423,31 @@ def rename(value: Renameable, side: str) -> Renameable:
 # ---------------------------------------------------------------------------
 # Address analysis
 
-def context_binders(box: Choose | Bang) -> tuple[Address, ...]:
-    """The binders that stand for the branch context.
+def binder_sites(box: Choose | Bang) -> tuple[Address, ...]:
+    """A box's bound list as occurrence sites of the enclosing level.
 
-    A menu whose bound list matches its branch interface length carries an
-    inert placeholder at the head; it is dropped here. Replication boxes
-    never carry a placeholder.
+    A menu whose bound list is as wide as its branches carries an inert
+    placeholder at the head; it is not a site. Replication boxes never
+    carry a placeholder.
     """
-    if isinstance(box, Bang):
-        return box.bound
-    width = len(box.left.interface)
-    if len(box.bound) == width and width > 0:
+    if type(box) is Choose and len(box.bound) == len(box.left.interface) > 0:
         return box.bound[1:]
     return box.bound
+
+
+def context_binders(box: Choose | Bang) -> tuple[Address, ...] | None:
+    """The binders that stand for the box's context, aligned with the
+    non-principal interface of its branches (or body); None when the
+    arity does not line up.
+
+    Both branches of a menu must be equally wide, and the binders, once a
+    menu's placeholder is dropped, one fewer than that width.
+    """
+    width = len((box.left if type(box) is Choose else box.body).interface)
+    if type(box) is Choose and len(box.right.interface) != width:
+        return None
+    binders = binder_sites(box)
+    return binders if len(binders) == width - 1 else None
 
 
 def free_addresses(value: Expression | Transaction | Program) -> frozenset[Address]:
@@ -452,7 +464,7 @@ def free_addresses(value: Expression | Transaction | Program) -> frozenset[Addre
             return {node.address}
         out = set().union(*kids)
         if type(node) is Choose or type(node) is Bang:
-            return set(context_binders(node)) | (out - set(node.bound))
+            return set(binder_sites(node)) | (out - set(node.bound))
         return out
 
     return frozenset(fold(value, free))
@@ -474,7 +486,7 @@ def _surface(e: Expression, tag: str) -> Iterator[tuple[Address, str]]:
         if type(node) is Addr:
             yield (node.address, tag)
         elif type(node) is Choose or type(node) is Bang:
-            for binder in context_binders(node):
+            for binder in binder_sites(node):
                 yield (binder, BINDER)
         else:
             stack.extend(reversed(children(node)))
@@ -540,67 +552,55 @@ class _Bijection:
 
 
 def _alpha(a, b, bij: _Bijection) -> bool:
+    """Same kind, same data (addresses through ``bij``), alike children.
+    Transactions may match in either orientation, and pending lists as
+    multisets."""
     if type(a) is not type(b):
         return False
-    match a:
-        case Addr():
-            return bij.match(a.address, b.address)
-        case Unit():
-            return a.unit == b.unit
-        case Dispose():
+    if type(a) is Addr:
+        return bij.match(a.address, b.address)
+    if type(a) is Transaction:
+        # A transaction joins two resources symmetrically; reduction
+        # orders may fuse the same pair in either orientation.
+        saved = bij.snapshot()
+        if _alpha(a.left, b.left, bij) and _alpha(a.right, b.right, bij):
             return True
-        case Dual() | Inl() | Inr() | Store():
-            return _alpha(a.inner, b.inner, bij)
-        case Iso() | Conn() | Contract():
-            return _alpha(a.left, b.left, bij) and _alpha(a.right, b.right, bij)
-        case Choose():
-            if len(a.bound) != len(b.bound):
-                return False
-            return (
-                all(bij.match(x, y) for x, y in zip(a.bound, b.bound))
-                and _alpha(a.left, b.left, bij)
-                and _alpha(a.right, b.right, bij)
-            )
-        case Bang():
-            if len(a.bound) != len(b.bound):
-                return False
-            return all(bij.match(x, y) for x, y in zip(a.bound, b.bound)) and _alpha(
-                a.body, b.body, bij
-            )
-        case Transaction():
-            # A transaction joins two resources symmetrically; reduction
-            # orders may fuse the same pair in either orientation.
-            saved = bij.snapshot()
-            if _alpha(a.left, b.left, bij) and _alpha(a.right, b.right, bij):
-                return True
-            bij.restore(saved)
-            return _alpha(a.left, b.right, bij) and _alpha(a.right, b.left, bij)
-        case Program():
-            if len(a.interface) != len(b.interface) or len(a.pending) != len(b.pending):
-                return False
-            for x, y in zip(a.interface, b.interface):
-                if not _alpha(x, y, bij):
-                    return False
-            return _alpha_pending(list(a.pending), list(b.pending), bij)
-    raise TypeError(f"cannot compare {a!r}")
+        bij.restore(saved)
+        return _alpha(a.left, b.right, bij) and _alpha(a.right, b.left, bij)
+    if type(a) is Choose or type(a) is Bang:
+        if len(a.bound) != len(b.bound):
+            return False
+        if not all(bij.match(x, y) for x, y in zip(a.bound, b.bound)):
+            return False
+    if type(a) is Program:
+        if len(a.interface) != len(b.interface) or len(a.pending) != len(b.pending):
+            return False
+        return all(_alpha(x, y, bij) for x, y in zip(a.interface, b.interface)) and (
+            _alpha_pending(list(a.pending), list(b.pending), bij)
+        )
+    kids = children(a)
+    if not kids:
+        return a == b  # units and disposals
+    return all(_alpha(x, y, bij) for x, y in zip(kids, children(b)))
 
 
 def _erase_key(value) -> str:
     """A path-insensitive structural key, used to prune pending matching."""
 
     def key(node, kids):
+        data = ""
         if type(node) is Transaction:
             kids = sorted(kids)
-        if type(node) is Addr:
+        elif type(node) is Program:
+            width = len(node.interface)
+            kids = [*kids[:width], *sorted(kids[width:])]
+            data = str(width)
+        elif type(node) is Addr:
             data = node.address.name
         elif type(node) is Unit:
             data = node.unit
         elif type(node) is Choose or type(node) is Bang:
             data = ",".join(x.name for x in node.bound)
-        elif type(node) is Program:
-            data = str(len(node.interface))
-        else:
-            data = ""
         return f"{type(node).__name__}[{data}]({','.join(kids)})"
 
     return fold(value, key)

@@ -309,17 +309,17 @@ class _Scope:
     # -- boxes -------------------------------------------------------------------
 
     def _binder_split(self, box):
-        """Context binders for a box, validating the bound-list arity."""
+        """Context binders for a box; an arity that does not line up is
+        reported by what is wrong with it."""
+        binders = sx.context_binders(box)
+        if binders is not None:
+            return binders
         if isinstance(box, sx.Choose):
             width = len(box.left.interface)
             if width == 0 or len(box.right.interface) != width:
                 raise BranchContextMismatchError(
                     "menu branches must expose the same, non-empty interface", box.span
                 )
-            if len(box.bound) == width:
-                return box.bound[1:]  # inert placeholder at the head
-            if len(box.bound) == width - 1:
-                return box.bound
             raise TypeMismatchError(
                 f"menu binds {len(box.bound)} address(es) for branches of width {width}",
                 box.span,
@@ -327,12 +327,10 @@ class _Scope:
         width = len(box.body.interface)
         if width == 0:
             raise TypeMismatchError("replication body must expose a principal port", box.span)
-        if len(box.bound) != width - 1:
-            raise TypeMismatchError(
-                f"replication binds {len(box.bound)} address(es) for a body of width {width}",
-                box.span,
-            )
-        return box.bound
+        raise TypeMismatchError(
+            f"replication binds {len(box.bound)} address(es) for a body of width {width}",
+            box.span,
+        )
 
     def _context_expectations(self, binders):
         # A binder's partner occurrence (the conclusion's context entry)
@@ -501,7 +499,7 @@ def check_expression(
         bound = ctx.consume(node)
         if bound is None and isinstance(node, (sx.Choose, sx.Bang)):
             # Typed on its own: its context binders get open partner ports.
-            binders = [sx.Addr(x) for x in sx.context_binders(node)]
+            binders = [sx.Addr(x) for x in sx.binder_sites(node)]
             box = sx.Program((node, *binders), ())
             judgment = check(box, [None] * len(box.interface), default_unit=default_unit)
             bound = judgment.interface_types[0]

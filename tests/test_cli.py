@@ -295,3 +295,39 @@ class TestUnitsRegistry:
         # 'gil' lexes as an address, so the program is not in ledger form
         assert code == 1
         assert err.startswith("ERROR kind=ledger-form")
+
+
+class TestInputErrors:
+    def test_directory_is_an_io_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "check", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ERROR kind=io msg=")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            # Header errors point into the header line, wherever it sits.
+            ("\n\n-- types: foo\n(a){}", "span=3:11 msg=\"unknown currency unit 'foo'\""),
+            ("-- types: satoshi, (btc", "span=1:24 msg=\"expected RPAREN, found 'end of input'\""),
+            ("-- types: satoshi,\n(a){}", "span=1:19 msg=\"expected a type, found 'end of input'\""),
+            ("\n  -- type: x\n(a){}", "span=2:3 msg=\"a '--' line must be a type header of the form '-- types: ...'\""),
+            # A superscript digit is not a multiplier: it lexes as a name.
+            ("(a){ txn(a, \u00b2.satoshi) }", "span=1:13 msg=\"invalid address name: '\\u00b2'\""),
+        ],
+    )
+    def test_parse_error_line(self, capsys, tmp_path, source, line):
+        script = tmp_path / "bad.llbc"
+        script.write_text(source, encoding="utf-8")
+        code, _, err = run_cli(capsys, "check", str(script))
+        assert code == 1
+        assert err == f"ERROR kind=parse {line}\n"
+
+    def test_empty_header_declares_nothing(self, capsys, tmp_path):
+        script = tmp_path / "empty.llbc"
+        script.write_text("-- types:\n(){}\n")
+        code, out, _ = run_cli(capsys, "check", str(script))
+        assert code == 0
+        assert out == "well-typed: ()\n"

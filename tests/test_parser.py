@@ -235,3 +235,112 @@ class TestRoundTripProperty:
         assert parser.parse_program(text) == generated.program
         for t in generated.declared:
             assert parser.parse_type(parser.render(t)) == t
+
+
+def _span_list(value):
+    """``Kind begin-end line:col`` for every node under ``value``, pre-order;
+    ``Kind -`` for a node without a span."""
+    out = []
+    for node in sx.walk(value):
+        span = node.span
+        out.append(f"{type(node).__name__} -" if span is None else
+                   f"{type(node).__name__} {span.begin}-{span.end} {span}")
+    return out
+
+
+_PARSE = {
+    "expr": parser.parse_expression,
+    "type": parser.parse_type,
+    "program": parser.parse_program,
+}
+
+
+class TestExactSpans:
+    @pytest.mark.parametrize(
+        "sort, source, spans",
+        [
+            ("expr", "a * b # c",
+             ["Conn 0-9 1:1", "Iso 0-5 1:1", "Addr 0-1 1:1", "Addr 4-5 1:5", "Addr 8-9 1:9"]),
+            ("expr", "?x @ y",
+             ["Contract 0-6 1:1", "Store 0-2 1:1", "Addr 1-2 1:2", "Addr 5-6 1:6"]),
+            # The desugared connection of an obligation carries no span.
+            ("expr", "a -o b", ["Conn -", "Addr 0-1 1:1", "Addr 5-6 1:6"]),
+            ("expr", "(a * satoshi)^",
+             ["Conn 1-12 1:2", "Addr 1-2 1:2", "Dual 5-12 1:6", "Unit 5-12 1:6"]),
+            ("expr", "2 . btc", ["Iso 0-7 1:1", "Unit 0-7 1:1", "Unit 0-7 1:1"]),
+            ("expr", "x.l.r", ["Addr 0-5 1:1"]),
+            ("expr", "choose(x){ (a){}; (b){} }",
+             ["Choose 0-25 1:1", "Program 11-16 1:12", "Addr 12-13 1:13",
+              "Program 18-23 1:19", "Addr 19-20 1:20"]),
+            ("program", "(a){\n  txn(a, satoshi)\n}",
+             ["Program 0-24 1:1", "Addr 1-2 1:2", "Transaction 7-22 2:3",
+              "Addr 11-12 2:7", "Unit 14-21 2:10"]),
+            # Compound types carry no span; atoms do, until dualized.
+            ("type", "!satoshi * btc^", ["Tensor -", "OfCourse -", "Atom 1-8 1:2", "Atom -"]),
+        ],
+    )
+    def test_compound_spans(self, sort, source, spans):
+        assert _span_list(_PARSE[sort](source)) == spans
+
+    @pytest.mark.parametrize(
+        "sort, source, message, span",
+        [
+            ("program", "(", "expected an expression, found 'end of input'", "1-1 1:2"),
+            ("program", "(x){ txn(x) }", "expected COMMA, found ')'", "10-11 1:11"),
+            ("program", "(a){ foo(a, b) }", "expected txn, found 'foo'", "5-8 1:6"),
+            ("program", "(x){ txn(x, $) }", "unsupported character '$'", "12-13 1:13"),
+            ("expr", "x * ", "expected an expression, found 'end of input'", "4-4 1:5"),
+            ("expr", "a // comment\n  # ", "expected an expression, found 'end of input'", "17-17 2:5"),
+            ("expr", "inl(b) -o a", "dual is not defined on Inl expressions", "0-6 1:1"),
+            ("expr", "_^", "dual is not defined on Dispose expressions", "1-2 1:2"),
+            ("expr", "3 . unknownunit", "unknown currency unit 'unknownunit'", "4-15 1:5"),
+            ("expr", "0 . btc", "unit multiplier must be positive", "0-1 1:1"),
+            ("expr", "satoshi.l", "freshness suffix is not allowed on a currency unit", "7-8 1:8"),
+            ("expr", "!x", "expected '(' after '!'", "1-2 1:2"),
+            ("expr", "a + b", "unexpected trailing input '+'", "2-3 1:3"),
+            ("expr", "txn", "'txn' is a keyword", "0-3 1:1"),
+            ("expr", "a\n  -b", "unsupported character '-'", "4-5 2:3"),
+            ("expr", "choose(x, x){ (a, b){}; (c, d){} }",
+             "bound addresses must be pairwise distinct", "12-13 1:13"),
+            ("expr", "².satoshi", "invalid address name: '²'", "0-1 1:1"),
+            ("type", "satoshi -o", "expected a type, found 'end of input'", "10-10 1:11"),
+            ("type", "satoshi @ btc", "unexpected trailing input '@'", "8-9 1:9"),
+            ("type", "foo", "unknown currency unit 'foo'", "0-3 1:1"),
+        ],
+    )
+    def test_error_message_and_span(self, sort, source, message, span):
+        with pytest.raises(ParseError) as caught:
+            _PARSE[sort](source)
+        err = caught.value
+        assert err.message == message
+        assert f"{err.span.begin}-{err.span.end} {err.span}" == span
+
+    def test_decimal_digits_of_any_script_count(self):
+        # "١" (ARABIC-INDIC DIGIT ONE) is a decimal digit that int() reads.
+        assert parser.parse_expression("١.satoshi") == sx.Unit("satoshi")
+
+
+class TestScriptHeaderInPlace:
+    def test_declared_types_keep_their_position(self):
+        _, declared = parser.parse_script("\n-- types: btc, !satoshi\n(a, b){}")
+        assert _span_list(declared[0]) == ["Atom 11-14 2:11"]
+        assert _span_list(declared[1]) == ["OfCourse -", "Atom 17-24 2:17"]
+
+    @pytest.mark.parametrize(
+        "source, message, span",
+        [
+            ("\n\n-- types: foo\n(a){}", "unknown currency unit 'foo'", "3:11"),
+            ("-- types: satoshi, (btc", "expected RPAREN, found 'end of input'", "1:24"),
+            ("-- types: satoshi,\n(a){}", "expected a type, found 'end of input'", "1:19"),
+            ("-- types: satoshi btc\n(a){}", "unexpected trailing input 'btc'", "1:19"),
+        ],
+    )
+    def test_header_errors_point_into_the_header(self, source, message, span):
+        with pytest.raises(ParseError) as caught:
+            parser.parse_script(source)
+        assert caught.value.message == message
+        assert str(caught.value.span) == span
+
+    def test_empty_header(self):
+        assert parser.parse_script("-- types:\n(){}")[1] == []
+        assert parser.parse_script("-- types:   \r\n(){}")[1] == []

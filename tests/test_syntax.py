@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from llbc import parser
+from llbc import reduce
 from llbc import syntax as sx
 from llbc import typecheck as tc
-from llbc.errors import DualityError, NonLinearAddressError
+from llbc.errors import DualityError, NonLinearAddressError, TypeCheckError
 
 sat = sx.Atom("satoshi")
 btc = sx.Atom("btc")
@@ -274,3 +275,65 @@ class TestTraversal:
             tc.check(p, [parser.parse_type("satoshi & satoshi")])
         occurrences = list(sx.surface_occurrences(p))
         assert occurrences == [(sx.Address("m"), sx.BINDER)]
+
+
+class TestAlphaTransitivity:
+    # A box body's pending list is a multiset at every level, not only at
+    # the top: B reorders both levels of A, C only the box body.
+    A = "(){ txn(u, !(){ (x, y){ txn(x, satoshi); txn(y, btc) } }); txn(v, satoshi) }"
+    B = "(){ txn(v, satoshi); txn(u, !(){ (x, y){ txn(y, btc); txn(x, satoshi) } }) }"
+    C = "(){ txn(u, !(){ (x, y){ txn(y, btc); txn(x, satoshi) } }); txn(v, satoshi) }"
+
+    @pytest.mark.parametrize("left, right", [("A", "C"), ("C", "B"), ("A", "B"), ("B", "A")])
+    def test_nested_pending_reorderings(self, left, right):
+        a = parser.parse_program(getattr(self, left))
+        b = parser.parse_program(getattr(self, right))
+        assert sx.alpha_equivalent(a, b)
+
+    def test_box_binders_go_through_the_bijection(self):
+        a = parser.parse_program("(x.l){ txn(!(x.l){ (a, y){} }, ?satoshi) }")
+        b = parser.parse_program("(x.r){ txn(!(x.r){ (a, y){} }, ?satoshi) }")
+        c = parser.parse_program("(x.r){ txn(!(x.l){ (a, y){} }, ?satoshi) }")
+        assert sx.alpha_equivalent(a, b)
+        assert not sx.alpha_equivalent(a, c)
+
+
+class TestBoxArity:
+    """One rule decides a box's context binders; the reducer fires a box
+    only when it holds, and the checker reports what is wrong otherwise."""
+
+    @pytest.mark.parametrize(
+        "source, binders, verdict",
+        [
+            ("(){ txn(choose(p){ (a){}; (b){} }, inl(satoshi)) }", (), None),
+            ("(){ txn(choose(){ (a){}; (b){} }, inl(satoshi)) }", (), None),
+            ("(x){ txn(choose(p, x){ (a, y){}; (b, z){} }, inl(satoshi)) }", ("x",), None),
+            ("(x){ txn(choose(x){ (a, y){}; (b, z){} }, inl(satoshi)) }", ("x",), None),
+            ("(x){ txn(choose(x){ (a, y){}; (b){} }, inl(satoshi)) }", None,
+             "branch-context-mismatch: menu branches must expose the same, non-empty interface"),
+            ("(){ txn(choose(){ (){}; (){} }, inl(satoshi)) }", None,
+             "branch-context-mismatch: menu branches must expose the same, non-empty interface"),
+            ("(p){ txn(choose(p){ (a){}; (){} }, inl(satoshi)) }", None,
+             "branch-context-mismatch: menu branches must expose the same, non-empty interface"),
+            ("(x, w){ txn(choose(x, w){ (a){}; (b){} }, inl(satoshi)) }", None,
+             "type-mismatch: menu binds 2 address(es) for branches of width 1"),
+            ("(){ txn(!(){ (a){} }, ?satoshi) }", (), None),
+            ("(x){ txn(!(x){ (a, y){} }, ?satoshi) }", ("x",), None),
+            ("(x){ txn(!(x){ (a){} }, ?satoshi) }", None,
+             "type-mismatch: replication binds 1 address(es) for a body of width 1"),
+            ("(){ txn(!(){ (){} }, ?satoshi) }", None,
+             "type-mismatch: replication body must expose a principal port"),
+        ],
+    )
+    def test_rule_reducer_and_checker_agree(self, source, binders, verdict):
+        program = parser.parse_program(source)
+        box = program.pending[0].left
+        found = sx.context_binders(box)
+        assert (None if found is None else tuple(a.render() for a in found)) == binders
+        assert bool(reduce.find_redexes(program)) == (binders is not None)
+        try:
+            tc.check(program, [None] * len(program.interface))
+        except TypeCheckError as err:
+            assert f"{err.kind}: {err.message}" == verdict
+        else:
+            assert verdict is None
