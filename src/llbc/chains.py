@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import syntax as sx
 from .errors import HeightMismatch, IsolationError
@@ -36,7 +38,7 @@ class Transfer:
     def __post_init__(self):
         if self.source == self.target:
             raise ValueError("a transfer must move funds between distinct addresses")
-        if not isinstance(self.amount, int) or self.amount <= 0:
+        if not isinstance(self.amount, int) or isinstance(self.amount, bool) or self.amount <= 0:
             raise ValueError(f"transfer amount must be a positive integer: {self.amount!r}")
         if not is_valid_unit(self.unit):
             raise ValueError(f"invalid currency unit token: {self.unit!r}")
@@ -61,16 +63,15 @@ class Chain:
 
 
 def addresses(value: Chain | Block) -> frozenset[sx.Address]:
-    if isinstance(value, Block):
-        out = set()
-        for t in value.transfers:
-            out.add(t.source)
-            out.add(t.target)
-        return frozenset(out)
-    result: set[sx.Address] = set()
-    for block in value.blocks:
-        result |= addresses(block)
-    return frozenset(result)
+    # An address loaded by chain_from_json repeats as one object, so
+    # deduplicating by identity first hashes each object once.
+    blocks = (value,) if isinstance(value, Block) else value.blocks
+    seen: dict[int, sx.Address] = {}
+    for block in blocks:
+        for t in block.transfers:
+            seen[id(t.source)] = t.source
+            seen[id(t.target)] = t.target
+    return frozenset(seen.values())
 
 
 def isolated(c1: Chain, c2: Chain) -> bool:
@@ -162,42 +163,87 @@ def compose_rewire(c1: Chain, c2: Chain) -> RewireResult:
 # ---------------------------------------------------------------------------
 # JSON round trip
 
+# The fixed layout json.dumps(payload, indent=2, sort_keys=True) gives a
+# chain, written directly: the indenting encoder is CPython's pure-Python
+# one, which costs several times more than this per transfer.
+_TRANSFER_JSON = (
+    '        {\n'
+    '          "amount": %d,\n'
+    '          "from": %s,\n'
+    '          "to": %s,\n'
+    '          "unit": %s\n'
+    '        }'
+)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
 def chain_to_json(chain: Chain) -> str:
-    payload = {
-        "blocks": [
-            {
-                "transfers": [
-                    {
-                        "from": t.source.render(),
-                        "to": t.target.render(),
-                        "amount": t.amount,
-                        "unit": t.unit,
-                    }
-                    for t in block.transfers
-                ]
-            }
-            for block in chain.blocks
+    """The chain as JSON with sorted keys and two-space indent, byte for
+    byte what ``json.dumps(..., indent=2, sort_keys=True)`` writes."""
+    quote = encode_basestring_ascii
+    blocks = []
+    for block in chain.blocks:
+        # A transfer's addresses carry no freshness path: name is render().
+        transfers = [
+            _TRANSFER_JSON % (t.amount, quote(t.source.name), quote(t.target.name), quote(t.unit))
+            for t in block.transfers
         ]
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        blocks.append('    {\n      "transfers": ' + _json_list(transfers, "      ") + "\n    }")
+    return '{\n  "blocks": ' + _json_list(blocks, "  ") + "\n}\n"
+
+
+_TRANSFER_FIELDS = itemgetter("from", "to", "amount", "unit")
+
+
+def _transfer_fields(raw) -> tuple:
+    """The from, to, amount and unit of a decoded transfer object."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"a transfer must be an object, not {type(raw).__name__}")
+    try:
+        source, target, amount, unit = _TRANSFER_FIELDS(raw)
+    except KeyError as err:
+        raise ValueError(f"a transfer needs a {err} field") from None
+    for key, value in (("from", source), ("to", target), ("unit", unit)):
+        if not isinstance(value, str):
+            raise ValueError(f"transfer field {key!r} must be a string, not {type(value).__name__}")
+    return source, target, amount, unit
 
 
 def chain_from_json(text: str) -> Chain:
+    """Load a chain. Anything that is not a valid chain raises ValueError,
+    naming the block and transfer index when it lies inside one. Each
+    distinct address name is validated and built once per call, so equal
+    addresses are one object."""
     payload = json.loads(text)
-    if not isinstance(payload, dict) or "blocks" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("blocks"), list):
         raise ValueError("chain JSON must be an object with a 'blocks' array")
+    interned: dict[str, sx.Address] = {}
+
+    def address(name: str) -> sx.Address:
+        found = interned.get(name)
+        if found is None:
+            found = interned[name] = sx.Address(name)
+        return found
+
     blocks = []
-    for raw_block in payload["blocks"]:
+    for i, raw_block in enumerate(payload["blocks"]):
+        if not isinstance(raw_block, dict):
+            raise ValueError(f"block {i}: a block must be an object, not {type(raw_block).__name__}")
+        raw_transfers = raw_block.get("transfers", [])
+        if not isinstance(raw_transfers, list):
+            raise ValueError(f"block {i}: 'transfers' must be an array")
         transfers = []
-        for raw in raw_block.get("transfers", ()):
-            transfers.append(
-                Transfer(
-                    sx.Address(raw["from"]),
-                    sx.Address(raw["to"]),
-                    raw["amount"],
-                    raw["unit"],
-                )
-            )
+        for j, raw in enumerate(raw_transfers):
+            try:
+                source, target, amount, unit = _transfer_fields(raw)
+                transfers.append(Transfer(address(source), address(target), amount, unit))
+            except ValueError as err:
+                raise ValueError(f"block {i}, transfer {j}: {err}") from None
         blocks.append(Block(tuple(transfers)))
     return Chain(tuple(blocks))
 
@@ -220,11 +266,19 @@ def _amount_chain(amount: int, unit: str) -> sx.Expression:
 def chain_to_program(chain: Chain) -> sx.Program:
     """Encode a chain as a program assigning each transfer's amount to its
     recipient, genesis-style: the interface lists the receiving addresses
-    and each transfer becomes one pending assignment."""
+    and each transfer becomes one pending assignment. Syntax nodes are
+    immutable values, so the recipient node is shared between interface and
+    assignment, and transfers of equal amount and unit share one literal."""
+    literals: dict[tuple[int, str], sx.Expression] = {}
     interface = []
     pending = []
     for block in chain.blocks:
         for t in block.transfers:
-            interface.append(sx.Addr(t.target))
-            pending.append(sx.Transaction(sx.Addr(t.target), _amount_chain(t.amount, t.unit)))
+            key = (t.amount, t.unit)
+            literal = literals.get(key)
+            if literal is None:
+                literal = literals[key] = _amount_chain(t.amount, t.unit)
+            recipient = sx.Addr(t.target)
+            interface.append(recipient)
+            pending.append(sx.Transaction(recipient, literal))
     return sx.Program(tuple(interface), tuple(pending))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -536,23 +536,34 @@ def readback_ledger(p: sx.Program) -> Ledger:
     sides may come in either order. Raises :class:`NotInLedgerForm` at the
     first transaction that does not fit.
     """
-    balances: dict[sx.Address, Counter] = {}
+    balances: defaultdict[sx.Address, Counter] = defaultdict(Counter)
     burned: Counter = Counter()
+    # Literals are immutable and may be shared between transactions (see
+    # chains.chain_to_program), so each is walked once. The key is id(),
+    # not the node: hashing a dataclass recurses down a deep literal.
+    trees: dict[int, Counter | None] = {}
+
+    def unit_tree(node: sx.Expression) -> Counter | None:
+        key = id(node)
+        if key not in trees:
+            trees[key] = _unit_tree(node)
+        return trees[key]
+
     for i, txn in enumerate(p.pending):
         done = False
         for head, other, _flipped in _oriented(txn):
             if isinstance(head, sx.Addr):
                 if isinstance(other, sx.Dispose):
-                    balances.setdefault(head.address, Counter())
+                    balances[head.address]  # an empty balance
                     done = True
                     break
-                units = _unit_tree(other)
+                units = unit_tree(other)
                 if units is not None:
-                    balances.setdefault(head.address, Counter()).update(units)
+                    balances[head.address].update(units)
                     done = True
                     break
             elif isinstance(head, sx.Dispose):
-                units = _unit_tree(other)
+                units = unit_tree(other)
                 if units is not None:
                     burned.update(units)
                     done = True

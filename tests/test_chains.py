@@ -1,9 +1,12 @@
 """Chain composition: isolation, zipping, rewiring, JSON, and the bridge
 into the scripting calculus."""
 import json
+import re
+import runpy
 
 import pytest
 
+import llbc
 from llbc import chains as ch
 from llbc import parser
 from llbc import reduce as rd
@@ -11,11 +14,29 @@ from llbc import syntax as sx
 from llbc.errors import HeightMismatch, IsolationError
 from llbc.generate import ChainGenerator
 
+from helpers import DEMOS
+
 A = sx.Address
 
 
 def transfer(source, target, amount, unit="btc"):
     return ch.Transfer(A(source), A(target), amount, unit)
+
+
+def reference_json(chain):
+    """The chain file as the standard library's indenting encoder writes it."""
+    payload = {
+        "blocks": [
+            {
+                "transfers": [
+                    {"from": t.source.render(), "to": t.target.render(), "amount": t.amount, "unit": t.unit}
+                    for t in block.transfers
+                ]
+            }
+            for block in chain.blocks
+        ]
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture
@@ -255,6 +276,65 @@ class TestJson:
         first = payload["blocks"][0]["transfers"][0]
         assert set(first) == {"from", "to", "amount", "unit"}
 
+    def test_writer_matches_json_dumps(self):
+        # The direct writer against the indenting encoder it replaces, on
+        # chains with empty blocks, padding and rewired names.
+        generator = ChainGenerator(seed=5)
+        chains = [ch.Chain(()), ch.Chain((ch.Block(()),))]
+        for i in range(60):
+            width = 1 + i % 3
+            left = generator.chain(i % 9, transfers_per_block=width, prefix=f"l{i}_")
+            right = generator.chain((i * 7) % 13, transfers_per_block=width, prefix=f"r{i}_")
+            leading = ch.Chain((ch.Block(()),) * (1 + i % 2) + left.blocks)
+            chains += [
+                left,
+                leading,
+                ch.compose_verify(left, right),
+                ch.compose_rewire(left, left).chain,
+                ch.compose_rewire(leading, right).chain,
+            ]
+        assert len(chains) >= 300
+        for chain in chains:
+            assert ch.chain_to_json(chain) == reference_json(chain)
+
+    def test_demo_output_unchanged(self, capsys, monkeypatch):
+        demo = str(DEMOS / "compose_chains.py")
+        runpy.run_path(demo, run_name="__main__")
+        written = capsys.readouterr().out
+        monkeypatch.setattr(llbc, "chain_to_json", reference_json)
+        runpy.run_path(demo, run_name="__main__")
+        assert written == capsys.readouterr().out
+
+    def test_loaded_addresses_are_interned(self):
+        chain = ch.chain_from_json(ch.chain_to_json(ChainGenerator(seed=4).chain(20)))
+        by_name = {}
+        for block in chain.blocks:
+            for t in block.transfers:
+                for address in (t.source, t.target):
+                    assert by_name.setdefault(address.name, address) is address
+        assert len(by_name) < 40
+
+    def test_bool_amount_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            transfer("a", "b", True)
+
+    @pytest.mark.parametrize(
+        "payload, msg",
+        [
+            ({"blocks": {}}, "'blocks' array"),
+            ({"blocks": [{"transfers": {}}]}, "block 0: 'transfers' must be an array"),
+            ({"blocks": [{}, {"transfers": [7]}]}, "block 1, transfer 0: a transfer must be an object, not int"),
+            ({"blocks": [{"transfers": [{"to": "b", "amount": 1, "unit": "btc"}]}]}, "needs a 'from' field"),
+            ({"blocks": [{"transfers": [{"from": "a", "to": "b", "amount": 1, "unit": 5}]}]}, "'unit' must be a string, not int"),
+            ({"blocks": [{"transfers": [{"from": "a", "to": "b", "amount": "1", "unit": "btc"}]}]}, "positive integer: '1'"),
+            ({"blocks": [{"transfers": [{"from": "a", "to": "b", "amount": True, "unit": "btc"}]}]}, "block 0, transfer 0: transfer amount must be a positive integer: True"),
+            ({"blocks": [{"transfers": [{"from": "a b", "to": "b", "amount": 1, "unit": "btc"}]}]}, "invalid address name"),
+        ],
+    )
+    def test_wrong_shape_names_its_place(self, payload, msg):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            ch.chain_from_json(json.dumps(payload))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ch.chain_from_json('{"blocks": [{"transfers": [{"from": "a", "to": "a", "amount": 1, "unit": "btc"}]}]}')
@@ -308,3 +388,37 @@ class TestBridge:
         )
         ledger = rd.readback_ledger(ch.chain_to_program(chain))
         assert ledger.to_json_dict()["balances"]["c"] == {"btc": 5}
+
+    def test_equal_amounts_share_one_literal(self):
+        chain = ChainGenerator(seed=3).chain(2000)
+        program = ch.chain_to_program(chain)
+        pairs = {(t.amount, t.unit) for block in chain.blocks for t in block.transfers}
+        isos = set()
+        for txn in program.pending:
+            stack = [txn.right]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, sx.Iso) and id(node) not in isos:
+                    isos.add(id(node))
+                    stack += [node.left, node.right]
+        total = sum(t.amount for block in chain.blocks for t in block.transfers)
+        assert len(isos) == sum(amount - 1 for amount, _ in pairs)
+        assert len(isos) * 50 < total
+        assert len({id(txn.right) for txn in program.pending}) == len(pairs)
+
+    def test_shared_literal_counts_once_per_transaction(self):
+        literal = sx.Iso(sx.Unit("btc"), sx.Unit("btc"))
+        program = sx.Program(
+            (sx.Addr(A("a")), sx.Addr(A("b"))),
+            (
+                sx.Transaction(sx.Addr(A("a")), literal),
+                sx.Transaction(literal, sx.Addr(A("b"))),
+                sx.Transaction(sx.Addr(A("a")), literal),
+                sx.Transaction(sx.Dispose(), literal),
+                sx.Transaction(literal, sx.Dispose()),
+            ),
+        )
+        assert rd.readback_ledger(program).to_json_dict() == {
+            "balances": {"a": {"btc": 4}, "b": {"btc": 2}},
+            "burned": {"btc": 4},
+        }

@@ -331,3 +331,33 @@ class TestInputErrors:
         code, out, _ = run_cli(capsys, "check", str(script))
         assert code == 0
         assert out == "well-typed: ()\n"
+
+    @pytest.mark.parametrize(
+        "blocks, msg",
+        [
+            (
+                [{"transfers": [{"from": "a", "to": "b", "amount": 1}]}],
+                "block 0, transfer 0: a transfer needs a 'unit' field",
+            ),
+            (
+                [{"transfers": []}, [{"from": "a", "to": "b", "amount": 1, "unit": "btc"}]],
+                "block 1: a block must be an object, not list",
+            ),
+            (
+                [{"transfers": [
+                    {"from": "a", "to": "b", "amount": 1, "unit": "btc"},
+                    {"from": ["x"], "to": "b", "amount": 1, "unit": "btc"},
+                ]}],
+                "block 0, transfer 1: transfer field 'from' must be a string, not list",
+            ),
+        ],
+    )
+    def test_malformed_chain_is_an_io_error(self, capsys, tmp_path, blocks, msg):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"blocks": blocks}))
+        code, out, err = run_cli(
+            capsys, "compose", "--mode", "verify", str(bad), str(DEMOS / "safe1.json")
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"ERROR kind=io msg={json.dumps(msg)}\n"

@@ -12,8 +12,10 @@ from collections import Counter
 
 import pytest
 
+from llbc import chains as ch
 from llbc import parser
 from llbc import reduce as rd
+from llbc import syntax as sx
 from llbc.errors import FuelExhausted
 from llbc.generate import GenConfig, ProgramGenerator
 
@@ -103,6 +105,37 @@ class TestDifferential:
             p, _ = parser.parse_script(path.read_text(encoding="utf-8"))
             assert_same_run(p, rd.DEFAULT_FUEL)
             assert_same_run(p, 3)
+
+    def test_bridged_chain_with_shared_literals(self):
+        # chain_to_program shares one literal between transfers of equal
+        # amount and unit. Forwarding each recipient into a connection
+        # fuses those literals into new transactions and splits them, so
+        # one literal object, and its parts, sit in many transactions.
+        rng = random.Random("bridged")
+        transfers = [
+            ch.Transfer(
+                sx.Address(f"s{k}"), sx.Address(f"t{k}"), rng.randrange(1, 6), rng.choice(("btc", "satoshi"))
+            )
+            for k in range(90)
+        ]
+        chain = ch.Chain(tuple(ch.Block(tuple(transfers[k : k + 3])) for k in range(0, 90, 3)))
+        bridged = ch.chain_to_program(chain)
+        assert len({id(txn.right) for txn in bridged.pending}) <= 10
+        assert_same_run(bridged, rd.DEFAULT_FUEL)
+        forwards = [
+            sx.Transaction(
+                sx.Addr(sx.Address(f"t{k}")),
+                sx.Conn(sx.Addr(sx.Address(f"o{k}")), sx.Addr(sx.Address(f"p{k}"))),
+            )
+            for k in range(90)
+        ]
+        pending = list(bridged.pending) + forwards
+        rng.shuffle(pending)
+        interface = tuple(sx.Addr(sx.Address(f"{x}{k}")) for k in range(90) for x in "op")
+        p = sx.Program(interface, tuple(pending))
+        assert_same_run(p, rd.DEFAULT_FUEL)
+        assert_same_run(p, 100)
+        assert rd.normalize(p).steps > 90
 
 
 def trace_of(src):
