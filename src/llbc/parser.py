@@ -437,74 +437,78 @@ def _blank(text: str) -> str:
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-def _sugar_chain(e: sx.Expression) -> tuple[int, str] | None:
-    """Recognise a left-nested ``*`` chain of one repeated unit literal."""
-    count = 0
-    node = e
-    while isinstance(node, sx.Iso):
-        if not isinstance(node.right, sx.Unit):
-            return None
-        count += 1
-        node = node.left
-    if not isinstance(node, sx.Unit) or count == 0:
+def _sugar_chain(e: sx.Expression) -> str | None:
+    """``N . unit`` for a left-nested ``*`` chain of one repeated unit literal."""
+    count, units, node = 1, set(), e
+    while type(node) is sx.Iso and type(node.right) is sx.Unit:
+        units.add(node.right.unit)
+        count, node = count + 1, node.left
+    if count == 1 or type(node) is not sx.Unit or units != {node.unit}:
         return None
-    unit = node.unit
-    probe = e
-    while isinstance(probe, sx.Iso):
-        if probe.right.unit != unit:  # type: ignore[union-attr]
-            return None
-        probe = probe.left
-    return count + 1, unit
+    return f"{count} . {node.unit}"
 
 
-def _render(value, level: int) -> str:
-    op = _OP_OF_NODE.get(type(value))
-    if op is not None:
-        sugared = _sugar_chain(value) if type(value) is sx.Iso else None
-        if sugared is not None:
-            return f"{sugared[0]} . {sugared[1]}"
-        text = f"{_render(value.left, op.level)} {op.text} {_render(value.right, op.level + 1)}"
-        return f"({text})" if op.level < level else text
-    match value:
-        case sx.Addr(address):
-            return address.render()
-        case sx.Unit(unit):
-            return unit
-        case sx.Atom(unit, negated):
-            return unit + ("^" if negated else "")
-        case sx.Dual(inner):
-            return f"{_render(inner, _ATOM_LEVEL)}^"
-        case sx.Store(inner) | sx.WhyNot(inner):
-            return f"?{_render(inner, _PREFIX_LEVEL)}"
-        case sx.OfCourse(body):
-            return f"!{_render(body, _PREFIX_LEVEL)}"
-        case sx.Inl(inner):
-            return f"inl({_render(inner, 0)})"
-        case sx.Inr(inner):
-            return f"inr({_render(inner, 0)})"
-        case sx.Dispose():
-            return "_"
-        case sx.Choose(bound, left, right):
-            names = ", ".join(a.render() for a in bound)
-            return f"choose({names}){{ {render(left)}; {render(right)} }}"
-        case sx.Bang(bound, body):
-            names = ", ".join(a.render() for a in bound)
-            return f"!({names}){{ {render(body)} }}"
-        case sx.Program(interface, pending):
-            ports = ", ".join(render(e) for e in interface)
-            if not pending:
-                return f"({ports}){{}}"
-            txns = "; ".join(render(t) for t in pending)
-            return f"({ports}){{ {txns} }}"
-        case sx.Transaction(left, right):
-            return f"txn({render(left)}, {render(right)})"
-        case sx.Address():
-            return value.render()
-        case sx.LinearType():
-            return str(value)  # a leaf from outside the syntax, such as a checker's unknown
-    raise TypeError(f"cannot render {value!r}")
+def _names(bound) -> str:
+    return ", ".join(a.render() for a in bound)
+
+
+def _listed(items, sep: str) -> list:
+    parts: list = []
+    for item in items:
+        parts += [sep, (item, 0)] if parts else [(item, 0)]
+    return parts
+
+
+# How each form that is not an infix operator prints: its text, or text
+# pieces and (sub-node, level) slots, left to right.
+_LAYOUT = {
+    sx.Addr: lambda n: n.address.render(),
+    sx.Address: lambda n: n.render(),
+    sx.Unit: lambda n: n.unit,
+    sx.Atom: lambda n: n.unit + "^" if n.negated else n.unit,
+    sx.Dispose: lambda n: "_",
+    sx.Dual: lambda n: [(n.inner, _ATOM_LEVEL), "^"],
+    sx.Store: lambda n: ["?", (n.inner, _PREFIX_LEVEL)],
+    sx.WhyNot: lambda n: ["?", (n.body, _PREFIX_LEVEL)],
+    sx.OfCourse: lambda n: ["!", (n.body, _PREFIX_LEVEL)],
+    sx.Inl: lambda n: ["inl(", (n.inner, 0), ")"],
+    sx.Inr: lambda n: ["inr(", (n.inner, 0), ")"],
+    sx.Choose: lambda n: [f"choose({_names(n.bound)}){{ ", (n.left, 0), "; ", (n.right, 0), " }"],
+    sx.Bang: lambda n: [f"!({_names(n.bound)}){{ ", (n.body, 0), " }"],
+    sx.Transaction: lambda n: ["txn(", (n.left, 0), ", ", (n.right, 0), ")"],
+    sx.Program: lambda n: ["(", *_listed(n.interface, ", "), "){ ", *_listed(n.pending, "; "), " }"]
+    if n.pending
+    else ["(", *_listed(n.interface, ", "), "){}"],
+}
 
 
 def render(value) -> str:
-    """Concrete syntax for a program, transaction, expression, or type."""
-    return _render(value, 0)
+    """Concrete syntax for a program, transaction, expression, or type.
+    Iterative, so arbitrarily deep values are fine."""
+    out: list[str] = []
+    todo: list = [(value, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, level = item
+        op = _OP_OF_NODE.get(type(node))
+        layout = _LAYOUT.get(type(node))
+        sugared = _sugar_chain(node) if type(node) is sx.Iso else None
+        if sugared is not None:
+            out.append(sugared)
+        elif op is not None:
+            parts = ((node.right, op.level + 1), f" {op.text} ", (node.left, op.level))
+            todo += (")", *parts, "(") if op.level < level else parts
+        elif layout is not None:
+            parts = layout(node)
+            if type(parts) is str:
+                out.append(parts)
+            else:
+                todo += reversed(parts)
+        elif isinstance(node, sx.LinearType):
+            out.append(str(node))  # a leaf from outside the syntax, such as a checker's unknown
+        else:
+            raise TypeError(f"cannot render {node!r}")
+    return "".join(out)

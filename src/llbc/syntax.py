@@ -134,27 +134,23 @@ class WhyNot(LinearType):
     span: SourceSpan | None = _span_field()
 
 
+# The De Morgan partner of each connective.
+DUAL_CONNECTIVE = {Tensor: Par, Par: Tensor, With: Plus, Plus: With, OfCourse: WhyNot, WhyNot: OfCourse}
+
+
 def dual(t: LinearType) -> LinearType:
-    """De Morgan dual; an involution on types in negation-normal form."""
-    match t:
-        case Atom(unit, negated):
-            return Atom(unit, not negated)
-        case Tensor(left, right):
-            return Par(dual(left), dual(right))
-        case Par(left, right):
-            return Tensor(dual(left), dual(right))
-        case With(left, right):
-            return Plus(dual(left), dual(right))
-        case Plus(left, right):
-            return With(dual(left), dual(right))
-        case OfCourse(body):
-            return WhyNot(dual(body))
-        case WhyNot(body):
-            return OfCourse(dual(body))
-    if isinstance(t, LinearType) and hasattr(t, "negated"):
-        # A leaf from outside the syntax, such as a checker's unknown.
-        return replace(t, negated=not t.negated)
-    raise TypeError(f"not a LinearType: {t!r}")
+    """De Morgan dual; an involution on types in negation-normal form.
+    Iterative, so arbitrarily deep types are fine."""
+
+    def flip(node, kids):
+        if type(node) is Atom:
+            return Atom(node.unit, not node.negated)
+        connective = DUAL_CONNECTIVE.get(type(node))
+        if connective is None:
+            raise TypeError(f"not a LinearType: {node!r}")
+        return connective(*kids)
+
+    return fold(t, flip)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +334,7 @@ def rebuild(node, kids):
     return _shape(node)[1](node, kids)
 
 
-def walk(value) -> Iterator:
+def walk(value, children=children) -> Iterator:
     """Every node under ``value``, pre-order, left to right. Iterative."""
     stack = [value]
     while stack:
@@ -347,9 +343,14 @@ def walk(value) -> Iterator:
         stack.extend(reversed(children(node)))
 
 
-def fold(value, f):
+def fold(value, f, children=children):
     """Compute ``f(node, results for its children)`` bottom-up. Iterative,
-    so arbitrarily deep ``*``-chains of literals are fine."""
+    so arbitrarily deep ``*``-chains of literals are fine.
+
+    ``children`` gives a node's sub-nodes (by default its syntax children);
+    it is called once per node, in pre-order, and ``f`` in post-order, both
+    left to right.
+    """
     done: list = []
     todo: list = [(value, None)]
     while todo:
@@ -358,13 +359,13 @@ def fold(value, f):
             kids = children(node)
             if kids:
                 todo.append((node, kids))
-                todo.extend((kid, None) for kid in reversed(kids))
+                todo += [(kid, None) for kid in reversed(kids)]
                 continue
-        if kids:
-            results = tuple(done[-len(kids) :])
-            del done[-len(kids) :]
-        else:
-            results = ()
+            done.append(f(node, ()))
+            continue
+        split = len(done) - len(kids)
+        results = tuple(done[split:])
+        del done[split:]
         done.append(f(node, results))
     return done[0]
 
@@ -377,22 +378,27 @@ def dualize_expr(e: Expression) -> Expression:
 
     Identity on addresses, marks currency literals as demands, and swaps
     isolation with connection. Undefined on the remaining forms, which are
-    rejected rather than guessed at.
+    rejected rather than guessed at: the error names the leftmost one.
+    Iterative, so arbitrarily deep literals are fine.
     """
-    match e:
-        case Addr():
-            return e
-        case Unit(unit):
-            return Dual(e, span=e.span)
-        case Dual(inner):
-            return inner
-        case Iso(left, right):
-            return Conn(dualize_expr(left), dualize_expr(right), span=e.span)
-        case Conn(left, right):
-            return Iso(dualize_expr(left), dualize_expr(right), span=e.span)
-    raise DualityError(
-        f"dual is not defined on {type(e).__name__} expressions", getattr(e, "span", None)
-    )
+
+    def flip(node, kids):
+        kind = type(node)
+        if kind is Addr:
+            return node
+        if kind is Unit:
+            return Dual(node, span=node.span)
+        if kind is Dual:
+            return node.inner
+        if kind is Iso:
+            return Conn(*kids, span=node.span)
+        if kind is Conn:
+            return Iso(*kids, span=node.span)
+        raise DualityError(
+            f"dual is not defined on {kind.__name__} expressions", getattr(node, "span", None)
+        )
+
+    return fold(e, flip, lambda node: children(node) if type(node) in (Iso, Conn) else ())
 
 
 def desugar_obligation(e1: Expression, e2: Expression) -> Expression:

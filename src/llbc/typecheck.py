@@ -62,98 +62,219 @@ class TypedJudgment:
 # ---------------------------------------------------------------------------
 # Unification
 
-@dataclass(frozen=True)
 class _TVar(sx.LinearType):
-    """A type not yet determined by the flow. Internal to checking."""
+    """A type not yet determined by the flow, or its dual when ``negated``.
+    Internal to checking."""
 
-    id: int
-    negated: bool = False
+    __slots__ = ("id", "negated")
+
+    def __init__(self, id: int, negated: bool = False):
+        self.id, self.negated = id, negated
 
     def __str__(self):
         return f"T{self.id}" + ("^" if self.negated else "")
+
+    __repr__ = __str__
 
 
 class _UnifyError(Exception):
     pass
 
 
+# The shape a node has when read at a polarity: its connective, or that
+# connective's De Morgan partner when the polarity is negative.
+_DUAL_SHAPE = {**sx.DUAL_CONNECTIVE, sx.Atom: sx.Atom}
+
+
+def _shape(node, negated: bool) -> type:
+    return _DUAL_SHAPE[type(node)] if negated else type(node)
+
+
 class _Unifier:
+    """Union-find over variable ids with path compression (Tarjan 1975) and
+    a polarity bit on every edge: ``link[v] = (target, flip)`` says that
+    variable ``v`` is ``target`` (a variable id, or a node), dualised when
+    ``flip``. A variable without an entry is free. Fresh unknowns are
+    numbered ``T<n>`` in creation order; negative ids name a compound
+    type's dual. Only nodes made by :meth:`shaped` hold variables; all
+    other nodes are ground syntax and never walked for them.
+    """
+
     def __init__(self, default_unit: str):
-        self.subst: dict[int, sx.LinearType] = {}
+        self.link: dict[int, tuple] = {}
         self.created: list[int] = []
         self.default_unit = default_unit
-        self._next = 0
+        self._hidden = 0
+        self._open: set[int] = set()  # ids of the nodes made by ``shaped``
 
     def fresh(self) -> _TVar:
-        self._next += 1
-        self.created.append(self._next)
-        return _TVar(self._next)
+        self.created.append(len(self.created) + 1)
+        return _TVar(self.created[-1])
 
-    def resolve(self, t: sx.LinearType) -> sx.LinearType:
-        if isinstance(t, _TVar):
-            bound = self.subst.get(t.id)
-            if bound is None:
-                return t
-            resolved = self.resolve(bound)
-            return sx.dual(resolved) if t.negated else resolved
-        match t:
-            case sx.Atom():
-                return t
-            case sx.Tensor(l, r):
-                return sx.Tensor(self.resolve(l), self.resolve(r))
-            case sx.Par(l, r):
-                return sx.Par(self.resolve(l), self.resolve(r))
-            case sx.With(l, r):
-                return sx.With(self.resolve(l), self.resolve(r))
-            case sx.Plus(l, r):
-                return sx.Plus(self.resolve(l), self.resolve(r))
-            case sx.OfCourse(b):
-                return sx.OfCourse(self.resolve(b))
-            case sx.WhyNot(b):
-                return sx.WhyNot(self.resolve(b))
-        raise TypeError(f"not a LinearType: {t!r}")
+    def shaped(self, cls) -> tuple[sx.LinearType, tuple[_TVar, ...]]:
+        """A ``cls`` node over fresh variables, and those variables."""
+        slots = tuple(self.fresh() for _ in range(1 if cls in (sx.OfCourse, sx.WhyNot) else 2))
+        node = cls(*slots)
+        self._open.add(id(node))
+        return node, slots
 
-    def _bind(self, var: _TVar, t: sx.LinearType):
-        value = sx.dual(t) if var.negated else t
-        if isinstance(value, _TVar) and value.id == var.id:
-            if value.negated:
-                raise _UnifyError("a type cannot be its own dual")
-            return
-        if any(type(n) is _TVar and n.id == var.id for n in sx.walk(value)):
-            raise _UnifyError("cyclic type")
-        self.subst[var.id] = value
+    def neg(self, t: sx.LinearType) -> sx.LinearType:
+        """The dual of ``t`` in constant time."""
+        if type(t) is _TVar:
+            return _TVar(t.id, not t.negated)
+        if type(t) is sx.Atom:
+            return sx.Atom(t.unit, not t.negated)
+        self._hidden -= 1
+        self.link[self._hidden] = (t, False)
+        return _TVar(self._hidden, True)
 
-    def unify(self, a: sx.LinearType, b: sx.LinearType):
-        a, b = self.resolve(a), self.resolve(b)
-        if a == b:
-            return
-        if isinstance(a, _TVar):
-            self._bind(a, b)
-            return
-        if isinstance(b, _TVar):
-            self._bind(b, a)
-            return
-        if type(a) is not type(b):
-            raise _UnifyError(f"{render(a)} vs {render(b)}")
-        match a, b:
-            case (sx.Atom(), sx.Atom()):
-                raise _UnifyError(f"{render(a)} vs {render(b)}")
-            case (sx.OfCourse(x), sx.OfCourse(y)) | (sx.WhyNot(x), sx.WhyNot(y)):
-                self.unify(x, y)
-            case _:
-                self.unify(a.left, b.left)  # type: ignore[union-attr]
-                self.unify(a.right, b.right)  # type: ignore[union-attr]
+    def head(self, t: sx.LinearType, negated: bool = False):
+        """``t``, dualised when ``negated``, with its variables chased: a
+        free variable's id or a node, and the polarity to read it at."""
+        if type(t) is not _TVar:
+            return t, negated
+        link, path = self.link, []
+        target, flip = t.id, False
+        while type(target) is int and target in link:
+            path.append((target, flip))
+            target, step = link[target]
+            flip ^= step
+        for var_id, seen in path[:-1]:  # the last one points at ``target`` already
+            link[var_id] = (target, flip ^ seen)
+        return target, flip ^ t.negated ^ negated
+
+    def _mismatch(self, a, a_neg, b, b_neg) -> _UnifyError:
+        return _UnifyError(
+            f"{render(self.resolve(a, a_neg))} vs {render(self.resolve(b, b_neg))}"
+        )
+
+    def _occurs(self, var_id: int, node) -> bool:
+        """Does free variable ``var_id`` occur in ``node``? Each class met
+        is walked once."""
+        seen = set()
+        todo = [node]
+        while todo:
+            node = todo.pop()
+            if type(node) is _TVar:
+                node, _ = self.head(node)
+                if type(node) is int:
+                    if node == var_id:
+                        return True
+                    continue
+            if id(node) in self._open and id(node) not in seen:
+                seen.add(id(node))
+                todo.extend(sx.children(node))
+        return False
+
+    def unify(self, a: sx.LinearType, b: sx.LinearType, negated: bool = False):
+        """Make ``a`` equal to ``b``, or to its dual when ``negated``: shallow
+        heads on a work stack (Martelli and Montanari 1982), operands left
+        to right, as a recursive descent would take them."""
+        todo = [(a, False, b, negated)]
+        while todo:
+            a, a_neg, b, b_neg = todo.pop()
+            a, a_neg = self.head(a, a_neg)
+            b, b_neg = self.head(b, b_neg)
+            if type(a) is not int and type(b) is int:
+                a, a_neg, b, b_neg = b, b_neg, a, a_neg  # bind the variable
+            if type(a) is int:
+                if type(b) is int and a == b:
+                    if a_neg != b_neg:
+                        raise _UnifyError("a type cannot be its own dual")
+                elif type(b) is not int and self._occurs(a, b):
+                    raise _UnifyError("cyclic type")
+                else:
+                    self.link[a] = (b, a_neg ^ b_neg)
+                continue
+            shape = _shape(a, a_neg)
+            if shape is not _shape(b, b_neg):
+                raise self._mismatch(a, a_neg, b, b_neg)
+            if shape is sx.Atom:
+                if a.unit != b.unit or a.negated ^ a_neg != b.negated ^ b_neg:
+                    raise self._mismatch(a, a_neg, b, b_neg)
+            elif shape is sx.OfCourse or shape is sx.WhyNot:
+                todo.append((a.body, a_neg, b.body, b_neg))
+            else:
+                todo.append((a.right, a_neg, b.right, b_neg))
+                todo.append((a.left, a_neg, b.left, b_neg))
+
+    def resolve(self, t: sx.LinearType, negated: bool = False, memo=None) -> sx.LinearType:
+        """``t``, dualised when ``negated``, with every bound variable
+        replaced by its value; a free one stays a ``T<n>`` leaf. Iterative.
+
+        ``memo`` maps (node id, polarity) to the resolved type; calls that
+        share it share resolved subtrees, so each class and its dual are
+        built at most once. It is valid only while no variable is bound.
+        Ground syntax is returned as it is.
+        """
+        open_nodes = self._open
+        memo = {} if memo is None else memo
+        done: list = []
+        todo: list = [(t, negated, None)]
+        while todo:
+            node, neg, kids = todo.pop()
+            if kids is not None:  # its kids are resolved: build the node
+                if len(kids) == 2:
+                    right = done.pop()
+                    got = (done.pop(), right)
+                else:
+                    got = (done.pop(),)
+                if neg:
+                    built = sx.DUAL_CONNECTIVE[type(node)](*got)
+                elif got[0] is kids[0] and got[-1] is kids[-1]:
+                    built = node
+                else:
+                    built = type(node)(*got)
+                memo[id(node), neg] = built
+                done.append(built)
+                continue
+            if type(node) is _TVar:
+                node, neg = self.head(node, neg)
+                if type(node) is int:
+                    done.append(_TVar(node, neg))
+                    continue
+            if not neg and id(node) not in open_nodes:
+                done.append(node)
+                continue
+            hit = memo.get((id(node), neg))
+            if hit is None:
+                if type(node) is sx.Atom:
+                    hit = memo[id(node), neg] = sx.Atom(node.unit, not node.negated)
+                else:
+                    kids = sx.children(node)
+                    todo.append((node, neg, kids))
+                    todo.extend([(kid, neg, None) for kid in reversed(kids)])
+                    continue
+            done.append(hit)
+        return done[0]
 
     def default_leftovers(self):
         """Bind every still-free variable to the default currency atom."""
         fallback = sx.Atom(self.default_unit)
         for var_id in self.created:
-            if self.resolve(_TVar(var_id)) == _TVar(var_id):
-                self.subst[var_id] = fallback
+            if var_id not in self.link:
+                self.link[var_id] = (fallback, False)
 
 
 # ---------------------------------------------------------------------------
 # The checking scope
+#
+# While checking, a derivation is a tuple ``(rule, node, type, premises)``
+# whose type may still hold variables; ``check`` builds the
+# :class:`Derivation` tree once every variable is bound.
+
+# Rules that force the expected type into a connective's shape: the rule,
+# the connective, and how an error names the form.
+_SHAPED = {
+    sx.Iso: ("Tensor", sx.Tensor, "an isolation"),
+    sx.Conn: ("Par", sx.Par, "a connection"),
+    sx.Store: ("Storage", sx.WhyNot, "storage"),
+    sx.Dispose: ("Disposal", sx.WhyNot, "disposal"),
+    sx.Contract: ("Contraction", sx.WhyNot, "contraction"),
+    sx.Inl: ("Left", sx.Plus, "a selection"),
+    sx.Inr: ("Right", sx.Plus, "a selection"),
+}
+
 
 class _Scope:
     def __init__(self, program, declared, unifier: _Unifier):
@@ -194,7 +315,7 @@ class _Scope:
             )
         if known:
             try:
-                self.unifier.unify(t, sx.dual(known[0]))
+                self.unifier.unify(t, known[0], negated=True)
             except _UnifyError as err:
                 raise TypeMismatchError(
                     f"occurrences of {address.render()} must have dual types: {err}", span
@@ -203,48 +324,44 @@ class _Scope:
 
     # -- driver ---------------------------------------------------------------
 
-    def run(self) -> tuple[list[sx.LinearType], Derivation]:
-        entry_derivs = []
-        for entry, declared in zip(self.program.interface, self.declared):
-            _, deriv = self._type_expr(entry, declared)
-            entry_derivs.append(deriv)
+    def run(self) -> tuple[list[sx.LinearType], tuple]:
+        """The declared types, unresolved, and the program's derivation."""
+        entry_derivs = [
+            self._type_expr(entry, declared)
+            for entry, declared in zip(self.program.interface, self.declared)
+        ]
         txn_derivs = [self._type_txn(txn) for txn in self.program.pending]
-        types = [self.unifier.resolve(t) for t in self.declared]
-        derivation = Derivation(
-            "Program", self.program, None, tuple(entry_derivs + txn_derivs)
-        )
-        return types, derivation
+        return self.declared, ("Program", self.program, None, tuple(entry_derivs + txn_derivs))
 
-    def _type_txn(self, txn) -> Derivation:
-        lt, ld = self._type_expr(txn.left, None)
+    def _type_txn(self, txn) -> tuple:
+        left = self._type_expr(txn.left, None)
         try:
-            _, rd = self._type_expr(txn.right, sx.dual(lt))
+            right = self._type_expr(txn.right, self.unifier.neg(left[2]))
         except _UnifyError as err:
             raise TypeMismatchError(
                 f"transaction joins non-dual types: {err}", txn.span
             ) from None
-        return Derivation("Cut", txn, lt, (ld, rd))
+        return ("Cut", txn, left[2], (left, right))
 
     # -- expression typing ------------------------------------------------------
 
     def _want(self, expected, cls, span, what):
-        """Force ``expected`` into shape ``cls``, returning the child slots."""
-        arity = 1 if cls in (sx.OfCourse, sx.WhyNot) else 2
-        if expected is None:
-            slots = tuple(self.unifier.fresh() for _ in range(arity))
-            return cls(*slots), slots
-        resolved = self.unifier.resolve(expected)
-        if isinstance(resolved, _TVar):
-            slots = tuple(self.unifier.fresh() for _ in range(arity))
-            self.unifier.unify(resolved, cls(*slots))
-            return cls(*slots), slots
-        if not isinstance(resolved, cls):
-            raise TypeMismatchError(
-                f"{what} cannot have type {render(resolved)}", span
-            )
-        if arity == 1:
-            return resolved, (resolved.body,)
-        return resolved, (resolved.left, resolved.right)
+        """Force ``expected`` into shape ``cls``, returning it and its
+        child slots."""
+        unifier = self.unifier
+        if expected is not None:
+            node, neg = unifier.head(expected)
+            if type(node) is not int:
+                if _shape(node, neg) is not cls:
+                    raise TypeMismatchError(
+                        f"{what} cannot have type {render(unifier.resolve(expected))}", span
+                    )
+                slots = (node.body,) if cls in (sx.OfCourse, sx.WhyNot) else (node.left, node.right)
+                return expected, tuple(map(unifier.neg, slots)) if neg else slots
+        shaped, slots = unifier.shaped(cls)
+        if expected is not None:
+            unifier.unify(expected, shaped)
+        return shaped, slots
 
     def _match_expected(self, expected, actual, span):
         if expected is None:
@@ -254,57 +371,48 @@ class _Scope:
         except _UnifyError as err:
             raise TypeMismatchError(f"expected type does not fit: {err}", span) from None
 
-    def _type_expr(self, e, expected) -> tuple[sx.LinearType, Derivation]:
-        match e:
-            case sx.Addr(address):
-                t = expected if expected is not None else self.unifier.fresh()
-                self._learn(address, t, e.span)
-                return t, Derivation("Axiom", e, t)
-            case sx.Unit(unit):
-                t = sx.Atom(unit)
-                self._match_expected(expected, t, e.span)
-                return t, Derivation("Literal", e, t)
-            case sx.Dual(sx.Unit(unit)):
-                t = sx.Atom(unit, True)
-                self._match_expected(expected, t, e.span)
-                return t, Derivation("Literal", e, t)
-            case sx.Dual():
-                raise TypeMismatchError("dual marker survives only on literals", e.span)
-            case sx.Iso(left, right):
-                out, (lw, rw) = self._want(expected, sx.Tensor, e.span, "an isolation")
-                _, ld = self._type_expr(left, lw)
-                _, rd = self._type_expr(right, rw)
-                return out, Derivation("Tensor", e, out, (ld, rd))
-            case sx.Conn(left, right):
-                out, (lw, rw) = self._want(expected, sx.Par, e.span, "a connection")
-                _, ld = self._type_expr(left, lw)
-                _, rd = self._type_expr(right, rw)
-                return out, Derivation("Par", e, out, (ld, rd))
-            case sx.Store(inner):
-                out, (bw,) = self._want(expected, sx.WhyNot, e.span, "storage")
-                _, deriv = self._type_expr(inner, bw)
-                return out, Derivation("Storage", e, out, (deriv,))
-            case sx.Dispose():
-                out, _ = self._want(expected, sx.WhyNot, e.span, "disposal")
-                return out, Derivation("Disposal", e, out)
-            case sx.Contract(left, right):
-                out, _ = self._want(expected, sx.WhyNot, e.span, "contraction")
-                _, ld = self._type_expr(left, out)
-                _, rd = self._type_expr(right, out)
-                return out, Derivation("Contraction", e, out, (ld, rd))
-            case sx.Inl(inner):
-                out, (lw, _) = self._want(expected, sx.Plus, e.span, "a selection")
-                _, deriv = self._type_expr(inner, lw)
-                return out, Derivation("Left", e, out, (deriv,))
-            case sx.Inr(inner):
-                out, (_, rw) = self._want(expected, sx.Plus, e.span, "a selection")
-                _, deriv = self._type_expr(inner, rw)
-                return out, Derivation("Right", e, out, (deriv,))
-            case sx.Choose():
-                return self._type_choose(e, expected)
-            case sx.Bang():
-                return self._type_bang(e, expected)
-        raise TypeMismatchError(f"cannot type {type(e).__name__}", getattr(e, "span", None))
+    def _type_expr(self, e, expected) -> tuple:
+        """The derivation of ``e`` against ``expected`` (None: unconstrained).
+        On ``sx.fold`` over ``[e, expected]`` items, so deep expressions are
+        fine: :meth:`_apply_rule` turns each item, in pre-order, into its
+        derivation less the premises, which the post-order pass adds."""
+        return sx.fold(
+            [e, expected],
+            lambda item, premises: (*item, premises) if len(item) == 3 else tuple(item),
+            self._apply_rule,
+        )
+
+    def _apply_rule(self, item) -> list:
+        """Apply the rule for ``item = [e, expected]``, leaving ``[rule, e,
+        type]`` in it (a box: its whole derivation); returns the premises'
+        items."""
+        e, expected = item
+        kind = type(e)
+        if kind is sx.Addr:
+            t = expected if expected is not None else self.unifier.fresh()
+            self._learn(e.address, t, e.span)
+            item[:] = ("Axiom", e, t)
+            return []
+        if kind is sx.Unit or (kind is sx.Dual and type(e.inner) is sx.Unit):
+            t = sx.Atom(e.unit) if kind is sx.Unit else sx.Atom(e.inner.unit, True)
+            self._match_expected(expected, t, e.span)
+            item[:] = ("Literal", e, t)
+            return []
+        if kind is sx.Dual:
+            raise TypeMismatchError("dual marker survives only on literals", e.span)
+        if kind in _SHAPED:
+            rule, cls, what = _SHAPED[kind]
+            out, slots = self._want(expected, cls, e.span, what)
+            if kind is sx.Contract:
+                slots = (out, out)
+            elif kind is sx.Inr:
+                slots = slots[1:]
+            item[:] = (rule, e, out)
+            return [[kid, slot] for kid, slot in zip(sx.children(e), slots)]
+        if kind is sx.Choose or kind is sx.Bang:
+            item[:] = (self._type_choose if kind is sx.Choose else self._type_bang)(e, expected)
+            return []
+        raise TypeMismatchError(f"cannot type {kind.__name__}", getattr(e, "span", None))
 
     # -- boxes -------------------------------------------------------------------
 
@@ -336,25 +444,17 @@ class _Scope:
         # A binder's partner occurrence (the conclusion's context entry)
         # carries the same type as the branch's own context entry; only the
         # binder-list occurrence itself is dual.
-        out = []
-        for x in binders:
-            known = self.commits.get(x)
-            out.append(known[0] if known else self.unifier.fresh())
-        return out
-
-    def _check_branch(self, branch, declared):
-        scope = _Scope(branch, declared, self.unifier)
-        return scope.run()
+        return [self.commits[x][0] if self.commits.get(x) else self.unifier.fresh() for x in binders]
 
     def _type_choose(self, box, expected):
         binders = self._binder_split(box)
         out, (lw, rw) = self._want(expected, sx.With, box.span, "a menu")
         ctx = self._context_expectations(binders)
-        left_types, left_deriv = self._check_branch(box.left, [lw] + ctx)
+        left_types, left_deriv = _Scope(box.left, [lw] + ctx, self.unifier).run()
         # The right branch gets its own slots; requiring the two context
         # vectors to agree is a distinct, reportable failure.
         right_ctx = [self.unifier.fresh() for _ in binders]
-        right_types, right_deriv = self._check_branch(box.right, [rw] + right_ctx)
+        right_types, right_deriv = _Scope(box.right, [rw] + right_ctx, self.unifier).run()
         for left_g, right_g in zip(left_types[1:], right_types[1:]):
             try:
                 self.unifier.unify(left_g, right_g)
@@ -366,40 +466,30 @@ class _Scope:
                     box.span,
                 ) from None
         for x, g in zip(binders, left_types[1:]):
-            self._learn(x, sx.dual(g), box.span)
-        return out, Derivation("With", box, out, (left_deriv, right_deriv))
+            self._learn(x, self.unifier.neg(g), box.span)
+        return ("With", box, out, (left_deriv, right_deriv))
 
     def _type_bang(self, box, expected):
         binders = self._binder_split(box)
         out, (bw,) = self._want(expected, sx.OfCourse, box.span, "replication")
         ctx = self._context_expectations(binders)
-        types, deriv = self._check_branch(box.body, [bw] + ctx)
+        types, deriv = _Scope(box.body, [bw] + ctx, self.unifier).run()
         for g in types[1:]:
-            resolved = self.unifier.resolve(g)
-            if isinstance(resolved, _TVar):
-                self.unifier.unify(resolved, sx.WhyNot(self.unifier.fresh()))
-            elif not isinstance(resolved, sx.WhyNot):
+            node, neg = self.unifier.head(g)
+            if type(node) is int:
+                self.unifier.unify(g, self.unifier.shaped(sx.WhyNot)[0])
+            elif _shape(node, neg) is not sx.WhyNot:
                 raise PromotionContextError(
-                    f"replication context must be ?-typed, found {render(resolved)}",
+                    f"replication context must be ?-typed, found {render(self.unifier.resolve(g))}",
                     box.span,
                 )
         for x, g in zip(binders, types[1:]):
-            self._learn(x, sx.dual(g), box.span)
-        return out, Derivation("Replication", box, out, (deriv,))
+            self._learn(x, self.unifier.neg(g), box.span)
+        return ("Replication", box, out, (deriv,))
 
 
 # ---------------------------------------------------------------------------
 # Public API
-
-def _resolve_derivation(deriv: Derivation, unifier: _Unifier) -> Derivation:
-    t = None if deriv.type is None else unifier.resolve(deriv.type)
-    return Derivation(
-        deriv.rule,
-        deriv.node,
-        t,
-        tuple(_resolve_derivation(c, unifier) for c in deriv.children),
-    )
-
 
 def check(
     program: sx.Program,
@@ -410,6 +500,7 @@ def check(
     """Check ``program`` against the declared interface types.
 
     Raises a :class:`TypeCheckError` subclass when no derivation exists.
+    Linear in the size of the program and its declared types.
     """
     unifier = _Unifier(default_unit)
     scope = _Scope(program, list(declared), unifier)
@@ -418,55 +509,51 @@ def check(
     except _UnifyError as err:
         raise TypeMismatchError(str(err), program.span) from None
     unifier.default_leftovers()
-    types = [unifier.resolve(t) for t in types]
+    memo: dict = {}
+    types = [unifier.resolve(t, memo=memo) for t in types]
     if any(isinstance(n, _TVar) for t in types for n in sx.walk(t)):
         raise TypeMismatchError("could not resolve all interface types", program.span)
-    return TypedJudgment(
-        program, tuple(types), _resolve_derivation(derivation, unifier)
-    )
+
+    def build(raw, premises):
+        rule, node, t, _ = raw
+        return Derivation(rule, node, None if t is None else unifier.resolve(t, memo=memo), premises)
+
+    return TypedJudgment(program, tuple(types), sx.fold(derivation, build, lambda raw: raw[3]))
 
 
 # -- expression-level checking against an explicit context --------------------
-
-
-@dataclass
-class _Binding:
-    expr: sx.Expression
-    type: sx.LinearType
-    consumed: bool = False
 
 
 class TypeContext:
     """An ordered, linearly consumed list of expression/type bindings."""
 
     def __init__(self, bindings=()):
-        self._bindings = [_Binding(e, t) for e, t in bindings]
+        # [expression, type, consumed] per binding
+        self._bindings = [[e, t, False] for e, t in bindings]
 
     def __len__(self):
         return len(self._bindings)
 
     def __iter__(self):
-        return iter((b.expr, b.type) for b in self._bindings)
+        return iter((e, t) for e, t, _ in self._bindings)
 
     def copy(self) -> "TypeContext":
         out = TypeContext()
-        out._bindings = [_Binding(b.expr, b.type, b.consumed) for b in self._bindings]
+        out._bindings = [list(b) for b in self._bindings]
         return out
 
     def consume(self, expr) -> sx.LinearType | None:
         for binding in self._bindings:
-            if not binding.consumed and binding.expr == expr:
-                binding.consumed = True
-                return binding.type
+            if not binding[2] and binding[0] == expr:
+                binding[2] = True
+                return binding[1]
         return None
 
     def residual(self) -> "TypeContext":
-        return TypeContext(
-            (b.expr, b.type) for b in self._bindings if not b.consumed
-        )
+        return TypeContext((e, t) for e, t, consumed in self._bindings if not consumed)
 
     def fully_consumed(self) -> bool:
-        return all(b.consumed for b in self._bindings)
+        return all(consumed for _, _, consumed in self._bindings)
 
 
 def check_expression(
@@ -495,7 +582,11 @@ def check_expression(
     ports: list[sx.Expression] = []
     declared: list[sx.LinearType | None] = [expected]
 
-    def cut_out(node):
+    # Items are one-element lists holding a node. The pre-order pass cuts
+    # a node out by putting its port in its item; the post-order pass
+    # rebuilds the expression around the ports.
+    def cut_out(item):
+        node = item[0]
         bound = ctx.consume(node)
         if bound is None and isinstance(node, (sx.Choose, sx.Bang)):
             # Typed on its own: its context binders get open partner ports.
@@ -504,18 +595,18 @@ def check_expression(
             judgment = check(box, [None] * len(box.interface), default_unit=default_unit)
             bound = judgment.interface_types[0]
         if bound is not None:
-            ports.append(sx.Addr(sx.Address(f"port{len(ports)}")))
+            item[0] = sx.Addr(sx.Address(f"port{len(ports)}"))
+            ports.append(item[0])
             declared.append(sx.dual(bound))
-            return ports[-1]
+            return ()
         if isinstance(node, sx.Addr):
             raise TypeMismatchError(
                 f"address {node.address.render()} is not bound in the context", node.span
             )
-        if isinstance(node, sx.Dual):
-            return node  # a demand literal is one leaf of the typing rules
-        return sx.rebuild(node, [cut_out(kid) for kid in sx.children(node)])
+        # a demand literal is one leaf of the typing rules
+        return () if isinstance(node, sx.Dual) else [[kid] for kid in sx.children(node)]
 
-    body = cut_out(e)
+    body = sx.fold([e], lambda item, kids: sx.rebuild(item[0], kids) if kids else item[0], cut_out)
     unifier = _Unifier(default_unit)
     try:
         types, _ = _Scope(sx.Program((body, *ports), ()), declared, unifier).run()
@@ -530,11 +621,30 @@ def check_expression(
 # ---------------------------------------------------------------------------
 # Derivation replay
 
+def _equal(a, b) -> bool:
+    """Structural equality of two types, iterative, so deep types are fine."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        kids = sx.children(a)
+        if not kids:
+            if a != b:
+                return False
+            continue
+        todo.extend(zip(kids, sx.children(b)))
+    return True
+
+
 def replay(judgment: TypedJudgment) -> bool:
     """Re-derive the judgment from its stored derivation tree.
 
     Verifies that every node's conclusion follows from its premises by the
     named rule, and that the root assigns the judgment's interface types.
+    Iterative, so deep derivations are fine.
     """
     root = judgment.derivation
     if root.rule != "Program":
@@ -542,80 +652,58 @@ def replay(judgment: TypedJudgment) -> bool:
     n = len(judgment.program.interface)
     if len(root.children) != n + len(judgment.program.pending):
         return False
-    entry_types = tuple(child.type for child in root.children[:n])
-    if entry_types != judgment.interface_types:
+    if len(judgment.interface_types) != n or not all(
+        child.type is not None and _equal(child.type, t)
+        for child, t in zip(root.children, judgment.interface_types)
+    ):
         return False
-    return all(_replay_node(child) for child in root.children)
+    return all(map(_rule_holds, sx.walk(root, lambda node: node.children)))
 
 
-def _replay_node(node: Derivation) -> bool:
+def _rule_holds(node: Derivation) -> bool:
+    """Does ``node``'s conclusion follow from its premises' conclusions?"""
     rule, t, kids = node.rule, node.type, node.children
     if rule == "Axiom" or rule == "Literal":
         return t is not None and not kids
-    if rule == "Tensor":
+    if rule == "Tensor" or rule == "Par":
         return (
             len(kids) == 2
-            and isinstance(t, sx.Tensor)
-            and t == sx.Tensor(kids[0].type, kids[1].type)
-            and all(map(_replay_node, kids))
-        )
-    if rule == "Par":
-        return (
-            len(kids) == 2
-            and isinstance(t, sx.Par)
-            and t == sx.Par(kids[0].type, kids[1].type)
-            and all(map(_replay_node, kids))
+            and type(t) is (sx.Tensor if rule == "Tensor" else sx.Par)
+            and _equal(t.left, kids[0].type)
+            and _equal(t.right, kids[1].type)
         )
     if rule == "Storage":
-        return (
-            len(kids) == 1
-            and isinstance(t, sx.WhyNot)
-            and t.body == kids[0].type
-            and _replay_node(kids[0])
-        )
+        return len(kids) == 1 and isinstance(t, sx.WhyNot) and _equal(t.body, kids[0].type)
     if rule == "Disposal":
         return isinstance(t, sx.WhyNot) and not kids
     if rule == "Contraction":
         return (
             len(kids) == 2
             and isinstance(t, sx.WhyNot)
-            and kids[0].type == t
-            and kids[1].type == t
-            and all(map(_replay_node, kids))
+            and _equal(kids[0].type, t)
+            and _equal(kids[1].type, t)
         )
-    if rule == "Left":
+    if rule == "Left" or rule == "Right":
         return (
             len(kids) == 1
             and isinstance(t, sx.Plus)
-            and t.left == kids[0].type
-            and _replay_node(kids[0])
-        )
-    if rule == "Right":
-        return (
-            len(kids) == 1
-            and isinstance(t, sx.Plus)
-            and t.right == kids[0].type
-            and _replay_node(kids[0])
+            and _equal(t.left if rule == "Left" else t.right, kids[0].type)
         )
     if rule == "With":
-        if len(kids) != 2 or not isinstance(t, sx.With):
-            return False
-        left, right = kids
-        if left.rule != "Program" or right.rule != "Program":
-            return False
         return (
-            t == sx.With(_principal_type(left), _principal_type(right))
-            and all(map(_replay_node, left.children))
-            and all(map(_replay_node, right.children))
+            len(kids) == 2
+            and isinstance(t, sx.With)
+            and kids[0].rule == "Program"
+            and kids[1].rule == "Program"
+            and _equal(t.left, _principal_type(kids[0]))
+            and _equal(t.right, _principal_type(kids[1]))
         )
     if rule == "Replication":
-        if len(kids) != 1 or not isinstance(t, sx.OfCourse):
-            return False
-        body = kids[0]
-        if body.rule != "Program":
-            return False
-        return t == sx.OfCourse(_principal_type(body)) and all(
-            map(_replay_node, body.children)
+        return (
+            len(kids) == 1
+            and isinstance(t, sx.OfCourse)
+            and kids[0].rule == "Program"
+            and _equal(t.body, _principal_type(kids[0]))
         )
     if rule == "Cut":
         if len(kids) != 2:
@@ -624,13 +712,10 @@ def _replay_node(node: Derivation) -> bool:
         return (
             lt is not None
             and rt is not None
-            and rt == sx.dual(lt)
-            and t == lt
-            and all(map(_replay_node, kids))
+            and _equal(rt, sx.dual(lt))
+            and _equal(t, lt)
         )
-    if rule == "Program":
-        return all(map(_replay_node, node.children))
-    return False
+    return rule == "Program"
 
 
 def _principal_type(program_node: Derivation) -> sx.LinearType | None:

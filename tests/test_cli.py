@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, output determinism, error records."""
 import json
+import time
 
 import pytest
 
@@ -67,6 +68,47 @@ class TestCheck:
         assert out == ""
         assert err.startswith("ERROR kind=type-mismatch")
         assert err.count("\n") == 1
+
+
+def _tensor_header(n: int) -> str:
+    return " * ".join(["satoshi"] * n)
+
+
+class TestDeepCheck:
+    """Checking is linear in the size of the program and its declared
+    types: an N-fold literal cut against an N-fold tensor neither recurses
+    nor goes quadratic."""
+
+    @pytest.mark.parametrize("n", [3000, 100000])
+    def test_deep_literal_is_well_typed(self, capsys, tmp_path, n):
+        script = tmp_path / "deep.llbc"
+        script.write_text(f"-- types: {_tensor_header(n)}\n(a){{ txn(a, {n}.satoshi) }}\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", str(script))
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert out == f"well-typed: ({_tensor_header(n)})\n"
+        assert err == ""
+        # Seconds when linear; a quadratic step would take hours at n=100000.
+        assert elapsed < 60
+
+    @pytest.mark.parametrize("n", [3000, 100000])
+    def test_deep_literal_against_one_fewer_is_one_error_line(self, capsys, tmp_path, n):
+        script = tmp_path / "short.llbc"
+        script.write_text(f"-- types: {_tensor_header(n - 1)}\n(a){{ txn(a, {n}.satoshi) }}\n")
+        code, out, err = run_cli(capsys, "check", str(script))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ERROR kind=type-mismatch")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_deep_demand_literal(self, capsys, tmp_path):
+        script = tmp_path / "demand.llbc"
+        script.write_text(f"-- types: ({_tensor_header(3000)})^\n(a){{ txn(a, 3000.satoshi^) }}\n")
+        code, out, err = run_cli(capsys, "check", str(script))
+        assert code == 0, err
+        assert out == f"well-typed: ({' # '.join(['satoshi^'] * 3000)})\n"
 
 
 class TestRun:

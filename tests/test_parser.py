@@ -136,6 +136,14 @@ class TestTypeSyntax:
         assert parser.render(t) == rendered
         assert parser.parse_type(parser.render(t)) == t
 
+    def test_deep_types_render(self):
+        n = 100000
+        right = sx.Atom("satoshi")
+        for _ in range(n - 1):
+            right = sx.Tensor(sx.Atom("satoshi"), right)
+        assert parser.render(right) == "satoshi * (" * (n - 2) + "satoshi * satoshi" + ")" * (n - 2)
+        assert parser.render(sx.WhyNot(right)).startswith("?(satoshi * (satoshi")
+
     def test_dual_is_negation_normal(self):
         t = parser.parse_type("(satoshi * (btc & doge))^")
         assert t == sx.Par(

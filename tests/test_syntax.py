@@ -50,6 +50,18 @@ class TestDual:
     def test_involution(self, t):
         assert sx.dual(sx.dual(t)) == t
 
+    def test_deep_type(self):
+        deep = sat
+        for _ in range(20000 - 1):
+            deep = sx.Tensor(deep, sat)
+        flipped = sx.dual(deep)
+        assert parser.render(flipped) == " # ".join(["satoshi^"] * 20000)
+        assert parser.render(sx.dual(flipped)) == parser.render(deep)
+
+    def test_expression_is_not_a_type(self):
+        with pytest.raises(TypeError):
+            sx.dual(sx.Unit("btc"))
+
 
 class TestDualizeExpr:
     def test_identity_on_addresses(self):
@@ -77,6 +89,20 @@ class TestDualizeExpr:
         box = parser.parse_expression("choose(x){ (a){}; (b){} }")
         with pytest.raises(DualityError):
             sx.dualize_expr(box)
+
+    @pytest.mark.parametrize(
+        "source, form",
+        [("a * inl(?b) # ?c", "Inl"), ("?a * inl(b)", "Store"), ("a # (b * (c @ d))", "Contract")],
+    )
+    def test_error_names_the_leftmost_outermost_form(self, source, form):
+        with pytest.raises(DualityError, match=f"not defined on {form} expressions"):
+            sx.dualize_expr(parser.parse_expression(source))
+
+    def test_deep_literal(self):
+        demand = parser.parse_expression("20000 . satoshi^")
+        assert type(demand) is sx.Conn
+        assert parser.render(demand) == " # ".join(["satoshi^"] * 20000)
+        assert parser.render(sx.dualize_expr(demand)) == "20000 . satoshi"
 
 
 class TestDesugar:

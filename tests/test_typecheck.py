@@ -1,4 +1,6 @@
 """Typing rules, linearity, cut duality, and derivation replay."""
+import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -13,7 +15,7 @@ from llbc.errors import (
     TypeCheckError,
     TypeMismatchError,
 )
-from llbc.generate import ProgramGenerator
+from llbc.generate import GenConfig, ProgramGenerator
 
 from helpers import SPEND_TYPES, spend_program
 
@@ -297,3 +299,157 @@ class TestCheckExpression:
     def test_unbound_address_rejected(self):
         with pytest.raises(TypeCheckError):
             tc.check_expression(parser.parse_expression("a"), tc.TypeContext())
+
+
+def _tensor(n, unit="satoshi"):
+    t = sx.Atom(unit)
+    for _ in range(n - 1):
+        t = sx.Tensor(t, sx.Atom(unit))
+    return t
+
+
+def _literal(n, unit="satoshi"):
+    e = sx.Unit(unit)
+    for _ in range(n - 1):
+        e = sx.Iso(e, sx.Unit(unit))
+    return e
+
+
+class TestDeep:
+    """Checking, replay and expression checking are linear and iterative."""
+
+    N = 100000
+
+    def test_deep_judgment_replays(self):
+        program = sx.Program((sx.Addr(sx.Address("a")),), (
+            sx.Transaction(sx.Addr(sx.Address("a")), _literal(self.N)),
+        ))
+        declared = _tensor(self.N)
+        judgment = tc.check(program, [declared])
+        assert judgment.interface_types[0] is declared
+        assert tc.replay(judgment)
+        tampered = tc.TypedJudgment(program, (_tensor(self.N, "btc"),), judgment.derivation)
+        assert not tc.replay(tampered)
+
+    def test_deep_literal_against_a_context(self):
+        a = parser.parse_expression("a")
+        ctx = tc.TypeContext([(a, parser.parse_type("btc"))])
+        t, residual = tc.check_expression(sx.Iso(a, _literal(20000)), ctx)
+        assert t.left == sx.Atom("btc")
+        assert parser.render(t.right) == " * ".join(["satoshi"] * 20000)
+        assert residual.fully_consumed()
+
+
+def _pinned_corpus(count=300, seed=606):
+    """Generated programs: half at a raised exponential bias; of each three,
+    one as generated, one with a transaction dropped, one with its first
+    declared type dualised."""
+    plain = ProgramGenerator(seed=seed)
+    biased = ProgramGenerator(seed=seed + 1, config=GenConfig(exponential_bias=0.8))
+    rng = random.Random(seed)
+    for i in range(count):
+        generated = (biased if i % 2 else plain).typed_program()
+        program, declared = generated.program, list(generated.declared)
+        if i % 3 == 1 and program.pending:
+            k = rng.randrange(len(program.pending))
+            program = sx.Program(program.interface, program.pending[:k] + program.pending[k + 1 :])
+        elif i % 3 == 2 and declared:
+            declared[0] = sx.dual(declared[0])
+        yield program, declared
+
+
+def _outcome(program, declared):
+    """The interface types and every derivation node's rule, subject and
+    type, pre-order; or the error's kind, message and span."""
+    try:
+        judgment = tc.check(program, declared)
+    except TypeCheckError as err:
+        return ("error", err.kind, err.message, str(err.span))
+    nodes, stack = [], [judgment.derivation]
+    while stack:
+        node = stack.pop()
+        rendered = None if node.type is None else parser.render(node.type)
+        nodes.append((node.rule, node.subject, rendered))
+        stack.extend(reversed(node.children))
+    return ("ok", tuple(parser.render(t) for t in judgment.interface_types), tuple(nodes))
+
+
+class TestPinnedBehaviour:
+    """The checker's observable behaviour, pinned by values recorded before
+    its unifier became a union-find: interface types, error kind, message
+    (with its ``T<n>`` names) and span, every derivation node, and the order
+    in which holes default to satoshi."""
+
+    def test_generated_programs_digest(self):
+        digest = hashlib.sha256()
+        outcomes = Counter()
+        for program, declared in _pinned_corpus():
+            outcome = _outcome(program, declared)
+            outcomes[outcome[0]] += 1
+            digest.update(repr(outcome).encode())
+        assert outcomes == {"ok": 136, "error": 164}
+        assert digest.hexdigest() == (
+            "39e4275cb76111288a721fd6f66d0f9304b91acee39d1e04b7ebb735fb93e8b4"
+        )
+
+    @pytest.mark.parametrize(
+        "source, types, address, clash, span",
+        [
+            # Operands are unified left to right: the left mismatch is reported.
+            ("(x, x){}", ["satoshi * btc", "(btc * satoshi)^"], "x", "btc^ vs satoshi^", "1:5"),
+            (
+                "(x, y){ txn(x, y) }",
+                ["satoshi * (btc # doge)", "satoshi^ # (ampere * doge^)"],
+                "y",
+                "btc vs ampere^",
+                "1:16",
+            ),
+            ("(){ txn(x, ?x) }", [], "x", "cyclic type", "1:13"),
+            ("(){ txn(x, inl(x)) }", [], "x", "cyclic type", "1:16"),
+            ("(){ txn(x, x * y); txn(y, satoshi) }", [], "x", "cyclic type", "1:12"),
+            ("(a){ txn(a, x @ x) }", [None], "x", "?T3 vs !T3^", "1:17"),
+        ],
+    )
+    def test_error_messages(self, source, types, address, clash, span):
+        program = parser.parse_program(source)
+        declared = [None if t is None else parser.parse_type(t) for t in types]
+        with pytest.raises(TypeMismatchError) as err:
+            tc.check(program, declared)
+        assert err.value.message == f"occurrences of {address} must have dual types: {clash}"
+        assert str(err.value.span) == span
+
+    def test_holes_default_in_creation_order(self):
+        program = parser.parse_program(
+            "(a, b, c, d, e, h){ txn(a, b); txn(c, _); txn(d, inl(satoshi)); "
+            "txn(inr(f), e); txn(f, g); txn(g, h) }"
+        )
+        judgment = tc.check(program, [None] * 6)
+        assert [parser.render(t) for t in judgment.interface_types] == [
+            "satoshi^", "satoshi", "?satoshi", "satoshi + satoshi", "satoshi + satoshi^", "satoshi",
+        ]
+        cuts = [node for node in judgment.derivation.children if node.rule == "Cut"]
+        assert [
+            [parser.render(node.type)] + [parser.render(kid.type) for kid in node.children]
+            for node in cuts
+        ] == [
+            ["satoshi", "satoshi", "satoshi^"],
+            ["!satoshi^", "!satoshi^", "?satoshi"],
+            ["satoshi^ & satoshi^", "satoshi^ & satoshi^", "satoshi + satoshi"],
+            ["satoshi + satoshi^", "satoshi + satoshi^", "satoshi^ & satoshi"],
+            ["satoshi", "satoshi", "satoshi^"],
+            ["satoshi", "satoshi", "satoshi^"],
+        ]
+        assert tc.replay(judgment)
+
+
+class TestUnifier:
+    def test_path_compression_keeps_polarity(self):
+        # v0 = v1^, v1 = v2, v2 = v3^, v3 = v4: one chain of four links.
+        unifier = tc._Unifier("satoshi")
+        v = [unifier.fresh() for _ in range(5)]
+        for i, flip in enumerate((True, False, True, False)):
+            unifier.unify(v[i], unifier.neg(v[i + 1]) if flip else v[i + 1])
+        expected = ["satoshi", "satoshi^", "satoshi^", "satoshi", "satoshi"]
+        unifier.head(v[0])  # compresses the whole chain
+        unifier.default_leftovers()
+        assert [parser.render(unifier.resolve(var)) for var in v] == expected
