@@ -19,7 +19,6 @@ blocks newest first, and round-trips bit-exactly through ``chain_to_json``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -28,14 +27,10 @@ from .errors import HeightMismatch, IsolationError
 from .units import is_valid_unit
 
 
-@dataclass(frozen=True)
-class Transfer:
-    source: sx.Address
-    target: sx.Address
-    amount: int
-    unit: str
+class Transfer(sx.Node):
+    __slots__ = {"source": sx.DATA, "target": sx.DATA, "amount": sx.DATA, "unit": sx.DATA}
 
-    def __post_init__(self):
+    def _check(self):
         if self.source == self.target:
             raise ValueError("a transfer must move funds between distinct addresses")
         if not isinstance(self.amount, int) or isinstance(self.amount, bool) or self.amount <= 0:
@@ -46,16 +41,14 @@ class Transfer:
             raise ValueError("chain addresses are plain names without freshness marks")
 
 
-@dataclass(frozen=True)
-class Block:
-    transfers: tuple[Transfer, ...]
+class Block(sx.Node):
+    __slots__ = {"transfers": sx.DATA}
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(sx.Node):
     """Blocks ordered newest first (height N down to genesis)."""
 
-    blocks: tuple[Block, ...]
+    __slots__ = {"blocks": sx.DATA}
 
     @property
     def height(self) -> int:
@@ -122,11 +115,8 @@ def compose_verify(c1: Chain, c2: Chain) -> Chain:
     return _zip_blocks(c1, c2)
 
 
-@dataclass(frozen=True)
-class RewireResult:
-    chain: Chain
-    left_map: tuple[tuple[sx.Address, sx.Address], ...]
-    right_map: tuple[tuple[sx.Address, sx.Address], ...]
+class RewireResult(sx.Node):
+    __slots__ = {"chain": sx.DATA, "left_map": sx.DATA, "right_map": sx.DATA}
 
     def left_dict(self) -> dict[sx.Address, sx.Address]:
         return dict(self.left_map)
@@ -137,11 +127,13 @@ class RewireResult:
 
 def _prefix_chain(chain: Chain, tag: str) -> tuple[Chain, tuple[tuple[sx.Address, sx.Address], ...]]:
     mapping = {a: sx.Address(tag + a.name) for a in sorted(addresses(chain))}
+    # Renaming keeps every transfer valid: only its addresses change, and
+    # the mapping is injective onto plain names.
     rewired = Chain(
         tuple(
             Block(
                 tuple(
-                    Transfer(mapping[t.source], mapping[t.target], t.amount, t.unit)
+                    Transfer.trusted(mapping[t.source], mapping[t.target], t.amount, t.unit)
                     for t in block.transfers
                 )
             )

@@ -12,11 +12,9 @@ import argparse
 import json
 import sys
 
-from . import chains as ch
+# Each command imports the layers it uses when it runs, so ``compose`` and
+# usage errors never load the parser, checker or reducer.
 from .errors import LlbcError
-from .parser import parse_script, render
-from .reduce import DEFAULT_FUEL, normalize, readback_ledger
-from .typecheck import check
 from .units import active_units
 
 
@@ -38,13 +36,13 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="normalize a script and print the result")
     p_run.add_argument("file")
-    p_run.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p_run.add_argument("--fuel", type=int)
     p_run.add_argument("--trace", action="store_true")
 
     p_ledger = sub.add_parser("ledger", help="read a script back as a ledger (JSON)")
     p_ledger.add_argument("file")
     p_ledger.add_argument("--run", action="store_true", help="normalize first")
-    p_ledger.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p_ledger.add_argument("--fuel", type=int)
 
     p_compose = sub.add_parser("compose", help="combine two chains blockwise")
     p_compose.add_argument("chains", nargs=2, metavar="CHAIN.json")
@@ -81,6 +79,8 @@ def _fail(err: LlbcError) -> int:
 
 
 def _load_script(path: str):
+    from .parser import parse_script
+
     units = active_units()
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -88,6 +88,9 @@ def _load_script(path: str):
 
 
 def _cmd_check(args) -> int:
+    from .parser import render
+    from .typecheck import check
+
     program, declared = _load_script(args.file)
     if declared is None:
         if program.interface:
@@ -109,8 +112,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .parser import render
+    from .reduce import DEFAULT_FUEL, normalize
+
     program, _ = _load_script(args.file)
-    result = normalize(program, fuel=args.fuel, trace=args.trace)
+    fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
+    result = normalize(program, fuel=fuel, trace=args.trace)
     if args.trace and result.trace:
         for entry in result.trace:
             print(entry.line())
@@ -119,10 +126,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
+    from .reduce import DEFAULT_FUEL, normalize, readback_ledger
+
     program, _ = _load_script(args.file)
     burned_in_run = {}
     if args.run:
-        outcome = normalize(program, fuel=args.fuel)
+        outcome = normalize(program, fuel=DEFAULT_FUEL if args.fuel is None else args.fuel)
         program = outcome.result
         burned_in_run = dict(outcome.burned)
     ledger = readback_ledger(program)
@@ -134,6 +143,8 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from . import chains as ch
+
     left = ch.load_chain(args.chains[0])
     right = ch.load_chain(args.chains[1])
     if args.check_blockwise:

@@ -21,6 +21,12 @@ class ParseError(LlbcError):
         self.expected = frozenset(expected)
 
 
+class LimitError(ParseError):
+    """Input nested deeper than the parser allows (``parser.MAX_NESTING``)."""
+
+    kind = "limit"
+
+
 class DualityError(LlbcError):
     """Dualization applied to an expression form it is not defined on."""
 

@@ -14,7 +14,6 @@ every reduct of a generated program well typed too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import syntax as sx
 from .syntax import dual
@@ -36,34 +35,32 @@ def _groundable(t: sx.LinearType) -> bool:
             return False
 
 
-@dataclass
-class GenConfig:
-    max_type_depth: int = 3
-    max_expr_depth: int = 6
-    units: tuple[str, ...] = tuple(sorted(DEFAULT_UNITS))
-    # Weight of picking an exponential cut at top level; raise it to
-    # exercise the Read/Dispose/Copy rules densely.
-    exponential_bias: float = 0.25
-    max_cuts: int = 3
-    max_ports: int = 2
-    max_context: int = 2
-    max_internal_cuts: int = 2
-    # Nesting bound for contractions; each level doubles the copies a
-    # replication box spawns, so order-enumeration corpora keep this at 1.
-    max_contract_depth: int = 2
+class GenConfig(sx.Node):
+    DEFAULTS = {
+        "max_type_depth": 3,
+        "max_expr_depth": 6,
+        "units": tuple(sorted(DEFAULT_UNITS)),
+        # Weight of picking an exponential cut at top level; raise it to
+        # exercise the Read/Dispose/Copy rules densely.
+        "exponential_bias": 0.25,
+        "max_cuts": 3,
+        "max_ports": 2,
+        "max_context": 2,
+        "max_internal_cuts": 2,
+        # Nesting bound for contractions; each level doubles the copies a
+        # replication box spawns, so order-enumeration corpora keep this at 1.
+        "max_contract_depth": 2,
+    }
+    __slots__ = dict.fromkeys(DEFAULTS, sx.DATA)
 
 
-@dataclass
-class GeneratedProgram:
-    program: sx.Program
-    declared: tuple[sx.LinearType, ...]
+class GeneratedProgram(sx.Node):
+    __slots__ = {"program": sx.DATA, "declared": sx.DATA}
 
 
-@dataclass
-class _Fragment:
-    expr: sx.Expression
-    sides: list[tuple[sx.Address, sx.LinearType]] = field(default_factory=list)
-    pending: list[sx.Transaction] = field(default_factory=list)
+class _Fragment(sx.Node):
+    __slots__ = {"expr": sx.DATA, "sides": sx.DATA}
+    DEFAULTS = {"sides": ()}
 
 
 class ProgramGenerator:
@@ -161,7 +158,7 @@ class ProgramGenerator:
         rng = self.rng
         if ports_allowed and (depth <= 0 or rng.random() < 0.2):
             a = self.fresh("x")
-            return _Fragment(sx.Addr(a), sides=[(a, dual(t))])
+            return _Fragment(sx.Addr(a), sides=((a, dual(t)),))
         if not ports_allowed and depth <= 0 and _groundable(t):
             return _Fragment(self.grounded(t, 1))
         match t:
@@ -169,30 +166,26 @@ class ProgramGenerator:
                 if _groundable(t) and (not ports_allowed or rng.random() < 0.7):
                     return _Fragment(self.grounded(t, 0))
                 a = self.fresh("x")
-                return _Fragment(sx.Addr(a), sides=[(a, dual(t))])
+                return _Fragment(sx.Addr(a), sides=((a, dual(t)),))
             case sx.Tensor(left, right):
                 lf = self.expr_of_type(left, depth - 1, ports_allowed)
                 rf = self.expr_of_type(right, depth - 1, ports_allowed)
-                return _Fragment(
-                    sx.Iso(lf.expr, rf.expr), lf.sides + rf.sides, lf.pending + rf.pending
-                )
+                return _Fragment(sx.Iso(lf.expr, rf.expr), lf.sides + rf.sides)
             case sx.Par(left, right):
                 lf = self.expr_of_type(left, depth - 1, ports_allowed)
                 rf = self.expr_of_type(right, depth - 1, ports_allowed)
-                return _Fragment(
-                    sx.Conn(lf.expr, rf.expr), lf.sides + rf.sides, lf.pending + rf.pending
-                )
+                return _Fragment(sx.Conn(lf.expr, rf.expr), lf.sides + rf.sides)
             case sx.Plus(left, right):
                 if rng.random() < 0.5:
                     inner = self.expr_of_type(left, depth - 1, ports_allowed)
-                    return _Fragment(sx.Inl(inner.expr), inner.sides, inner.pending)
+                    return _Fragment(sx.Inl(inner.expr), inner.sides)
                 inner = self.expr_of_type(right, depth - 1, ports_allowed)
-                return _Fragment(sx.Inr(inner.expr), inner.sides, inner.pending)
+                return _Fragment(sx.Inr(inner.expr), inner.sides)
             case sx.WhyNot(body):
                 roll = rng.random()
                 if roll < 0.45:
                     inner = self.expr_of_type(body, depth - 1, ports_allowed)
-                    return _Fragment(sx.Store(inner.expr), inner.sides, inner.pending)
+                    return _Fragment(sx.Store(inner.expr), inner.sides)
                 if roll < 0.7 and depth > 0 and self._contract_budget > 0:
                     self._contract_budget -= 1
                     try:
@@ -200,9 +193,7 @@ class ProgramGenerator:
                         rf = self.expr_of_type(t, depth - 1, ports_allowed)
                     finally:
                         self._contract_budget += 1
-                    return _Fragment(
-                        sx.Contract(lf.expr, rf.expr), lf.sides + rf.sides, lf.pending + rf.pending
-                    )
+                    return _Fragment(sx.Contract(lf.expr, rf.expr), lf.sides + rf.sides)
                 return _Fragment(sx.Dispose())
             case sx.With(left, right):
                 return self._menu(left, right, depth, ports_allowed)
@@ -232,7 +223,7 @@ class ProgramGenerator:
             bound = tuple(binders)
         return _Fragment(
             sx.Choose(tuple(bound), p, q),
-            sides=[(x, g) for x, g in zip(binders, ctx)],
+            sides=tuple(zip(binders, ctx)),
         )
 
     def _server(self, body, depth, ports_allowed) -> _Fragment:
@@ -241,7 +232,7 @@ class ProgramGenerator:
         binders = [self.fresh("s") for _ in ctx]
         return _Fragment(
             sx.Bang(tuple(binders), p),
-            sides=[(x, g) for x, g in zip(binders, ctx)],
+            sides=tuple(zip(binders, ctx)),
         )
 
     def branch_program(self, principal, ctx_types, depth) -> sx.Program:
@@ -249,12 +240,11 @@ class ProgramGenerator:
         main = self.expr_of_type(principal, depth, ports_allowed=False)
         assert not main.sides
         interface = [main.expr]
-        pending = list(main.pending)
+        pending = []
         for g in ctx_types:
             frag = self.expr_of_type(g, max(depth - 1, 0), ports_allowed=False)
             assert not frag.sides
             interface.append(frag.expr)
-            pending.extend(frag.pending)
         for _ in range(self.rng.randrange(0, self.config.max_internal_cuts + 1)):
             pending.extend(self._internal_cut(max(depth - 1, 0)))
         self.rng.shuffle(pending)
@@ -290,7 +280,6 @@ class ProgramGenerator:
         pool: list[tuple[sx.Address, sx.LinearType, int]] = []
 
         def stash(frag: _Fragment, budget: int):
-            pending.extend(frag.pending)
             pool.extend((a, u, budget) for a, u in frag.sides)
 
         for _ in range(cuts):

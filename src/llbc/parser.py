@@ -28,11 +28,10 @@ right at L + 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import syntax as sx
-from .errors import DualityError, ParseError
+from .errors import DualityError, LimitError, ParseError
 from .units import DEFAULT_UNITS
 
 KEYWORDS = frozenset({"txn", "choose", "inl", "inr"})
@@ -61,11 +60,8 @@ _PUNCT = {
 _LEXEME = re.compile(r"(\n)|[ \t\r]+|//[^\n]*|(-o|[(){},;*#@^?!&+.])|(\w+)|(.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    span: sx.SourceSpan
+class Token(sx.Node):
+    __slots__ = {"kind": sx.DATA, "text": sx.DATA, "span": sx.DATA}
 
 
 def tokenize(text: str) -> list[Token]:
@@ -132,6 +128,11 @@ _OP_OF_NODE = {
     node: op for op in _INFIX.values() for node in (op.expr, op.type) if isinstance(node, type)
 }
 
+# How deep operands may nest: each parenthesis, ``inl``/``inr`` operand, box
+# entry or transaction side, and right operand of ``-o`` is a level. At most
+# six parser frames per level keep this far inside the recursion limit.
+MAX_NESTING = 100
+
 # A sort is named by its constructor column in ``_Op``.
 _EXPR = "expr"
 _TYPE = "type"
@@ -148,6 +149,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.units = units
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -219,13 +221,18 @@ class _Parser:
     def infix(self, sort: str, floor: int = 0):
         """An operand of ``sort`` joined by operators of level ``floor`` or
         tighter. Compound expressions span their operands; compound types
-        carry no span."""
+        carry no span. Nesting is counted here, where every nested operand
+        starts."""
+        if self.depth == MAX_NESTING:
+            raise LimitError(f"operands nest deeper than {MAX_NESTING} levels", self.peek().span)
+        self.depth += 1
         left = self.prefixed(sort)
         while True:
             tok = self.peek()
             op = _INFIX.get(tok.kind)
             build = op and getattr(op, sort)
             if build is None or op.level < floor:
+                self.depth -= 1
                 return left
             self.next()
             right = self.infix(sort, op.level if op.right_assoc else op.level + 1)
@@ -235,30 +242,34 @@ class _Parser:
                 raise ParseError(str(err), err.span or tok.span) from err
 
     def prefixed(self, sort: str):
+        """An operand under its prefixes, which are read in a loop."""
+        prefixes = []
+        while self.at("QUERY") or (sort == _TYPE and self.at("BANG")):
+            prefixes.append(self.next())
         tok = self.peek()
-        if tok.kind == "QUERY" or (sort == _TYPE and tok.kind == "BANG"):
-            self.next()
-            inner = self.prefixed(sort)
-            if sort == _TYPE:
-                return sx.OfCourse(inner) if tok.kind == "BANG" else sx.WhyNot(inner)
-            return sx.Store(inner, span=self.span_from(tok.span))
         if sort == _EXPR and tok.kind == "IDENT" and tok.text in ("inl", "inr"):
             self.next()
             self.expect("LPAREN")
             inner = self.infix(_EXPR)
             self.expect("RPAREN")
             cls = sx.Inl if tok.text == "inl" else sx.Inr
-            return cls(inner, span=self.span_from(tok.span))
-        value = self.primary(sort)
-        while self.at("CARET"):
-            tok = self.next()
+            value = cls(inner, span=self.span_from(tok.span))
+        else:
+            value = self.primary(sort)
+            while self.at("CARET"):
+                caret = self.next()
+                if sort == _TYPE:
+                    value = sx.dual(value)
+                    continue
+                try:
+                    value = sx.dualize_expr(value)
+                except DualityError as err:
+                    raise ParseError(str(err), caret.span) from err
+        for tok in reversed(prefixes):
             if sort == _TYPE:
-                value = sx.dual(value)
-                continue
-            try:
-                value = sx.dualize_expr(value)
-            except DualityError as err:
-                raise ParseError(str(err), tok.span) from err
+                value = sx.OfCourse(value) if tok.kind == "BANG" else sx.WhyNot(value)
+            else:
+                value = sx.Store(value, span=self.span_from(tok.span))
         return value
 
     def primary(self, sort: str):
@@ -437,15 +448,20 @@ def _blank(text: str) -> str:
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-def _sugar_chain(e: sx.Expression) -> str | None:
-    """``N . unit`` for a left-nested ``*`` chain of one repeated unit literal."""
-    count, units, node = 1, set(), e
+def _sugar_spine(e: sx.Iso, sugar: dict) -> None:
+    """Record in ``sugar``, by id, the ``N . unit`` text (or None) of each
+    ``*`` node on ``e``'s left spine of literals: a node is sugar when the
+    literals from it to the spine's end are one unit. Render looks nodes
+    up there, so it examines each spine once."""
+    sugar[id(e)] = None
+    spine, node = [], e
     while type(node) is sx.Iso and type(node.right) is sx.Unit:
-        units.add(node.right.unit)
-        count, node = count + 1, node.left
-    if count == 1 or type(node) is not sx.Unit or units != {node.unit}:
-        return None
-    return f"{count} . {node.unit}"
+        spine.append(node)
+        node = node.left
+    count = 1 if type(node) is sx.Unit else 0
+    for iso in reversed(spine):
+        count = count + 1 if count and iso.right.unit == node.unit else 0
+        sugar[id(iso)] = f"{count} . {node.unit}" if count else None
 
 
 def _names(bound) -> str:
@@ -486,6 +502,7 @@ def render(value) -> str:
     """Concrete syntax for a program, transaction, expression, or type.
     Iterative, so arbitrarily deep values are fine."""
     out: list[str] = []
+    sugar: dict[int, str | None] = {}
     todo: list = [(value, 0)]
     while todo:
         item = todo.pop()
@@ -495,7 +512,9 @@ def render(value) -> str:
         node, level = item
         op = _OP_OF_NODE.get(type(node))
         layout = _LAYOUT.get(type(node))
-        sugared = _sugar_chain(node) if type(node) is sx.Iso else None
+        if type(node) is sx.Iso and id(node) not in sugar:
+            _sugar_spine(node, sugar)
+        sugared = sugar.get(id(node))
         if sugared is not None:
             out.append(sugared)
         elif op is not None:

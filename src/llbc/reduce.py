@@ -34,7 +34,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import count
 
 from . import syntax as sx
@@ -45,14 +44,12 @@ RULE_ORDER = ("Transaction", "Pair", "Left", "Right", "Read", "Dispose", "Copy")
 _PRIORITY = {name: i for i, name in enumerate(RULE_ORDER)}
 
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(sx.Node):
     """A rule match: its kind, the pending index it fires at, and, for the
     Transaction rule, the index of the second transaction involved."""
 
-    kind: str
-    pos: int
-    partner: int | None = None
+    __slots__ = {"kind": sx.DATA, "pos": sx.DATA, "partner": sx.DATA}
+    DEFAULTS = {"partner": None}
 
     def sort_key(self):
         return (self.pos, _PRIORITY[self.kind], -1 if self.partner is None else self.partner)
@@ -166,14 +163,14 @@ def find_redexes(p: sx.Program) -> list[Redex]:
 # ---------------------------------------------------------------------------
 # Stepping
 
-@dataclass(frozen=True)
 class StepEffect:
     """Unit accounting for one step: literals burned with a disposed box,
     discarded with an unselected branch, or duplicated by a copy."""
 
-    burned: Counter = field(default_factory=Counter)
-    discarded: Counter = field(default_factory=Counter)
-    duplicated: Counter = field(default_factory=Counter)
+    __slots__ = ("burned", "discarded", "duplicated")
+
+    def __init__(self):
+        self.burned, self.discarded, self.duplicated = Counter(), Counter(), Counter()
 
 
 def _fuse(ti: sx.Transaction, tj: sx.Transaction, address: sx.Address) -> sx.Transaction:
@@ -280,24 +277,15 @@ def step(p: sx.Program, r: Redex) -> sx.Program:
 # ---------------------------------------------------------------------------
 # Normalization
 
-@dataclass(frozen=True)
-class TraceStep:
-    index: int
-    redex: Redex
-    program: sx.Program
+class TraceStep(sx.Node):
+    __slots__ = {"index": sx.DATA, "redex": sx.DATA, "program": sx.DATA}
 
     def line(self) -> str:
         return f"{self.index} {self.redex.kind} {self.redex.pos} {render(self.program)}"
 
 
-@dataclass(frozen=True)
-class NormalizeResult:
-    result: sx.Program
-    steps: int
-    trace: tuple[TraceStep, ...] | None
-    burned: Counter
-    discarded: Counter
-    duplicated: Counter
+class NormalizeResult(sx.Node):
+    __slots__ = dict.fromkeys("result steps trace burned discarded duplicated".split(), sx.DATA)
 
 
 DEFAULT_FUEL = 10**6
@@ -482,12 +470,11 @@ def normalize(
 # ---------------------------------------------------------------------------
 # Ledger read-back
 
-@dataclass(frozen=True)
-class Ledger:
-    """An address-to-currency assignment plus the units routed to disposal."""
+class Ledger(sx.Node):
+    """An address-to-currency assignment plus the units routed to disposal,
+    as sorted ``(unit, count)`` pairs."""
 
-    balances: tuple[tuple[sx.Address, tuple[tuple[str, int], ...]], ...]
-    burned: tuple[tuple[str, int], ...]
+    __slots__ = {"balances": sx.DATA, "burned": sx.DATA}
 
     def balances_dict(self) -> dict[sx.Address, Counter]:
         return {a: Counter(dict(units)) for a, units in self.balances}
@@ -540,7 +527,7 @@ def readback_ledger(p: sx.Program) -> Ledger:
     burned: Counter = Counter()
     # Literals are immutable and may be shared between transactions (see
     # chains.chain_to_program), so each is walked once. The key is id(),
-    # not the node: hashing a dataclass recurses down a deep literal.
+    # not the node: hashing a node walks all of it.
     trees: dict[int, Counter | None] = {}
 
     def unit_tree(node: sx.Expression) -> Counter | None:

@@ -11,35 +11,202 @@ Everything in this module is an immutable value; all operations are pure.
 """
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import DualityError
 
 # ---------------------------------------------------------------------------
+# Immutable nodes
+
+# The role of a field, given as the value of its entry in a Node class's
+# ``__slots__`` dict (Python keeps the value as the slot's docstring).
+CHILD = "child node"
+CHILDREN = "tuple of child nodes"
+DATA = "data"
+SPAN = "source span, outside equality"
+
+# Methods generated for each field layout; ``_set_<field>`` and
+# ``_default_<field>`` are bound per class when the code runs.
+_METHODS = """
+def __init__(self, {params}):
+{sets}
+{check}
+def _kids(self):
+    return ({kids})
+def _key(self):
+    return ({key})
+"""
+_REBUILD = """
+def _rebuild(self, kids):
+    new = _new(_cls)
+{rebuilt}
+    return new
+"""
+# Without children, equality and hash need no iteration.
+_LEAF = """
+def _rebuild(self, kids):
+    return self
+def __eq__(self, other):
+    return self is other or (NotImplemented if type(other) is not _cls else {same})
+def __hash__(self):
+    return hash((_cls, {key}))
+"""
+# Compiled code per layout, shared by the classes of one layout, such as
+# the binary connectives.
+_COMPILED: dict = {}
+
+
+def _methods_code(spec: dict, defaulted: tuple, checked: bool):
+    layout = (tuple(spec.items()), defaulted, checked)
+    if layout in _COMPILED:
+        return _COMPILED[layout]
+    kids, key, rebuilt, at = [], [], [], "0"
+    for n, role in spec.items():
+        value = f"self.{n}"
+        if role is CHILD:
+            kids.append(value)
+            value, at = f"kids[{at}]", f"{at} + 1"
+        elif role is CHILDREN:
+            kids.append(f"*self.{n}")
+            key.append(f"len(self.{n})")
+            value, at = f"tuple(kids[{at}:{at} + len(self.{n})])", f"{at} + len(self.{n})"
+        elif role is DATA:
+            key.append(value)
+        rebuilt.append(f"    _set_{n}(new, {value})")
+    key = "".join(k + ", " for k in key)
+    source = _METHODS.format(
+        params=", ".join(n + (f"=_default_{n}" if n in defaulted else "") for n in spec),
+        sets="\n".join(f"    _set_{n}(self, {n})" for n in spec),
+        check="    self._check()" if checked else "",
+        kids="".join(k + ", " for k in kids),
+        key=key,
+    )
+    if kids:
+        source += _REBUILD.format(rebuilt="\n".join(rebuilt))
+    else:
+        same = " and ".join(f"self.{n} == other.{n}" for n, role in spec.items() if role is DATA)
+        source += _LEAF.format(same=same or "True", key=key)
+    code = _COMPILED[layout] = compile(source, "<node methods>", "exec")
+    return code
+
+
+def _less(self, other):
+    if type(other) is not type(self):
+        return NotImplemented
+    return self._key() < other._key()
+
+
+class Node:
+    """Base of every immutable record in the package.
+
+    A subclass states its fields, in constructor order, as a ``__slots__``
+    dict from name to role: ``CHILD``, ``CHILDREN``, ``DATA`` or ``SPAN``
+    (default None; outside equality, hash and repr). ``DEFAULTS`` gives
+    trailing fields defaults, ``_check`` validates what the constructor
+    builds, and ``order=True`` orders nodes by their data. ``==`` and the
+    cached ``hash`` are iterative, so deep trees are fine.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls, order: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        spec = cls.__dict__.get("__slots__")
+        if not isinstance(spec, dict):
+            return  # an abstract base, such as Expression
+        defaults = {n: None for n, role in spec.items() if role is SPAN}
+        defaults.update(cls.__dict__.get("DEFAULTS", {}))
+        cls.__match_args__ = tuple(spec)
+        cls._shown = tuple(n for n, role in spec.items() if role is not SPAN)
+        cls._setters = tuple(cls.__dict__[n].__set__ for n in spec)
+        namespace = {"__name__": cls.__module__, "_new": object.__new__, "_cls": cls}
+        namespace.update((f"_set_{n}", setter) for n, setter in zip(spec, cls._setters))
+        namespace.update((f"_default_{n}", value) for n, value in defaults.items())
+        exec(_methods_code(spec, tuple(defaults), hasattr(cls, "_check")), namespace)
+        for name in ("__init__", "_kids", "_key", "_rebuild", "__eq__", "__hash__"):
+            if name in namespace:
+                setattr(cls, name, namespace[name])
+        if order:
+            cls.__lt__ = _less
+            functools.total_ordering(cls)
+
+    @classmethod
+    def trusted(cls, *values):
+        """A node of ``values``, in field order, built without the class's
+        ``_check``: for values already known to pass it."""
+        node = object.__new__(cls)
+        for set_field, value in zip(cls._setters, values, strict=True):
+            set_field(node, value)
+        return node
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, checked like a new node."""
+        return type(self)(**{name: getattr(self, name) for name in self.__match_args__} | changes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is not b:
+                if type(a) is not type(b) or a._key() != b._key():
+                    return False
+                todo += zip(a._kids(), b._kids())
+        return True
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # The nodes that still need this method's hash, pre-order; reversed,
+        # every node follows its children.
+        order, todo = [], [self]
+        while todo:
+            order.append(todo.pop())
+            todo += [
+                kid
+                for kid in order[-1]._kids()
+                if type(kid).__hash__ is Node.__hash__ and not hasattr(kid, "_hash")
+            ]
+        for node in reversed(order):
+            _set_hash(node, hash((type(node), node._key(), *map(hash, node._kids()))))
+        return self._hash
+
+
+_set_hash = Node.__dict__["_hash"].__set__
+
+
+# ---------------------------------------------------------------------------
 # Source locations
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Node):
     """Half-open byte range [begin, end) with the 1-based line/column of begin."""
 
-    begin: int
-    end: int
-    line: int
-    column: int
+    __slots__ = {"begin": DATA, "end": DATA, "line": DATA, "column": DATA}
 
-    def __post_init__(self):
+    def _check(self):
         if self.begin > self.end:
             raise ValueError("span begin must not exceed end")
 
     def __str__(self):
         return f"{self.line}:{self.column}"
-
-
-def _span_field():
-    return field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +219,17 @@ RIGHT = "r"
 _SIDES = (LEFT, RIGHT)
 
 
-@dataclass(frozen=True, order=True)
-class Address:
+class Address(Node, order=True):
     """A named port, plus the freshness path the reducer appends when copying.
 
     Addresses with a non-empty freshness path are reducer output; scripts are
     normally written with bare names.
     """
 
-    name: str
-    path: tuple[str, ...] = ()
+    __slots__ = {"name": DATA, "path": DATA}
+    DEFAULTS = {"path": ()}
 
-    def __post_init__(self):
+    def _check(self):
         if not _NAME_RE.match(self.name):
             raise ValueError(f"invalid address name: {self.name!r}")
         if any(side not in _SIDES for side in self.path):
@@ -72,7 +238,7 @@ class Address:
     def extended(self, side: str) -> "Address":
         if side not in _SIDES:
             raise ValueError(f"freshness side must be 'l' or 'r', got {side!r}")
-        return Address(self.name, self.path + (side,))
+        return Address.trusted(self.name, self.path + (side,))
 
     def render(self) -> str:
         return self.name + "".join("." + side for side in self.path)
@@ -81,57 +247,39 @@ class Address:
 # ---------------------------------------------------------------------------
 # Types
 
-class LinearType:
+class LinearType(Node):
     """Base class for the resource-type language (negation-normal form)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(LinearType):
-    unit: str
-    negated: bool = False
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"unit": DATA, "negated": DATA, "span": SPAN}
+    DEFAULTS = {"negated": False}
 
 
-@dataclass(frozen=True)
 class Tensor(LinearType):
-    left: LinearType
-    right: LinearType
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"left": CHILD, "right": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Par(LinearType):
-    left: LinearType
-    right: LinearType
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"left": CHILD, "right": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class With(LinearType):
-    left: LinearType
-    right: LinearType
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"left": CHILD, "right": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Plus(LinearType):
-    left: LinearType
-    right: LinearType
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"left": CHILD, "right": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class OfCourse(LinearType):
-    body: LinearType
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"body": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class WhyNot(LinearType):
-    body: LinearType
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"body": CHILD, "span": SPAN}
 
 
 # The De Morgan partner of each connective.
@@ -156,53 +304,45 @@ def dual(t: LinearType) -> LinearType:
 # ---------------------------------------------------------------------------
 # Expressions, transactions, programs
 
-class Expression:
+class Expression(Node):
     """Base class for resource expressions (the proof-term side)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _distinct_bound(box):
+    if len(set(box.bound)) != len(box.bound):
+        raise ValueError("bound addresses must be pairwise distinct")
+
+
 class Addr(Expression):
-    address: Address
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"address": DATA, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Unit(Expression):
     """A currency literal, e.g. one satoshi sitting on the chain."""
 
-    unit: str
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"unit": DATA, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Dual(Expression):
     """Demand-polarity marker. After normalisation it only wraps Unit."""
 
-    inner: Expression
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"inner": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Iso(Expression):
     """Isolation ``e * e``: two resources on disjoint chain fragments."""
 
-    left: Expression
-    right: Expression
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"left": CHILD, "right": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Conn(Expression):
     """Connection ``e # e``: two linked resources in one fragment."""
 
-    left: Expression
-    right: Expression
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"left": CHILD, "right": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Choose(Expression):
     """Menu ``choose(x...){p; q}`` of two alternative chain states.
 
@@ -211,127 +351,63 @@ class Choose(Expression):
     shorter (pure context binders).
     """
 
-    bound: tuple[Address, ...]
-    left: "Program"
-    right: "Program"
-    span: SourceSpan | None = _span_field()
-
-    def __post_init__(self):
-        if len(set(self.bound)) != len(self.bound):
-            raise ValueError("bound addresses must be pairwise distinct")
+    __slots__ = {"bound": DATA, "left": CHILD, "right": CHILD, "span": SPAN}
+    _check = _distinct_bound
 
 
-@dataclass(frozen=True)
 class Inl(Expression):
-    inner: Expression
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"inner": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Inr(Expression):
-    inner: Expression
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"inner": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Store(Expression):
     """Storage ``?e``: a value made copyable/discardable."""
 
-    inner: Expression
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"inner": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Dispose(Expression):
     """Disposal ``_``: the sink that discards what is sent to it."""
 
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"span": SPAN}
 
 
-@dataclass(frozen=True)
 class Contract(Expression):
     """Contraction ``e @ e``: two uses of one copyable resource."""
 
-    left: Expression
-    right: Expression
-    span: SourceSpan | None = _span_field()
+    __slots__ = {"left": CHILD, "right": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
 class Bang(Expression):
     """Replication ``!(x...){p}``: a server that re-emits the state ``p``."""
 
-    bound: tuple[Address, ...]
-    body: "Program"
-    span: SourceSpan | None = _span_field()
-
-    def __post_init__(self):
-        if len(set(self.bound)) != len(self.bound):
-            raise ValueError("bound addresses must be pairwise distinct")
+    __slots__ = {"bound": DATA, "body": CHILD, "span": SPAN}
+    _check = _distinct_bound
 
 
-@dataclass(frozen=True)
-class Transaction:
-    left: Expression
-    right: Expression
-    span: SourceSpan | None = _span_field()
+class Transaction(Node):
+    __slots__ = {"left": CHILD, "right": CHILD, "span": SPAN}
 
 
-@dataclass(frozen=True)
-class Program:
-    interface: tuple[Expression, ...]
-    pending: tuple[Transaction, ...]
-    span: SourceSpan | None = _span_field()
-
-
-Renameable = Union[Expression, Transaction, Program, Address]
+class Program(Node):
+    __slots__ = {"interface": CHILDREN, "pending": CHILDREN, "span": SPAN}
 
 
 # ---------------------------------------------------------------------------
-# Traversal: one children/rebuild pair per node kind. Addresses, units and
-# box binders are data of their node, not children.
-
-_LEAF = (lambda n: (), lambda n, kids: n)
-_INNER = (lambda n: (n.inner,), lambda n, kids: type(n)(kids[0], span=n.span))
-_BODY = (lambda n: (n.body,), lambda n, kids: type(n)(kids[0], span=n.span))
-_PAIR = (lambda n: (n.left, n.right), lambda n, kids: type(n)(kids[0], kids[1], span=n.span))
-
-_SHAPES = {
-    **dict.fromkeys((Atom, Addr, Unit, Dispose), _LEAF),
-    **dict.fromkeys((Dual, Inl, Inr, Store), _INNER),
-    **dict.fromkeys((OfCourse, WhyNot), _BODY),
-    **dict.fromkeys((Tensor, Par, With, Plus, Iso, Conn, Contract, Transaction), _PAIR),
-    Choose: (
-        lambda n: (n.left, n.right),
-        lambda n, kids: Choose(n.bound, kids[0], kids[1], span=n.span),
-    ),
-    Bang: (lambda n: (n.body,), lambda n, kids: Bang(n.bound, kids[0], span=n.span)),
-    Program: (
-        lambda n: n.interface + n.pending,
-        lambda n, kids: Program(
-            tuple(kids[: len(n.interface)]), tuple(kids[len(n.interface) :]), span=n.span
-        ),
-    ),
-}
-
-
-def _shape(node):
-    shape = _SHAPES.get(type(node))
-    if shape is not None:
-        return shape
-    if isinstance(node, LinearType):
-        return _LEAF  # a type leaf from outside the syntax, such as a checker's unknown
-    raise TypeError(f"not a syntax node: {node!r}")
-
+# Traversal, on the children each node class declares. Box bodies are
+# children; addresses, units and box binders are data.
 
 def children(node) -> tuple:
     """The direct sub-nodes of ``node``, left to right; box bodies included."""
-    return _shape(node)[0](node)
+    return node._kids()
 
 
 def rebuild(node, kids):
     """``node`` with its children replaced by ``kids`` (same kind, data, span)."""
-    return _shape(node)[1](node, kids)
+    return node._rebuild(kids)
 
 
 def walk(value, children=children) -> Iterator:
@@ -409,7 +485,7 @@ def desugar_obligation(e1: Expression, e2: Expression) -> Expression:
 # ---------------------------------------------------------------------------
 # Renaming
 
-def rename(value: Renameable, side: str) -> Renameable:
+def rename(value: Expression | Transaction | Program | Address, side: str):
     """Append ``side`` to the freshness path of every address in ``value``."""
     if side not in _SIDES:
         raise ValueError(f"freshness side must be 'l' or 'r', got {side!r}")
@@ -420,7 +496,7 @@ def rename(value: Renameable, side: str) -> Renameable:
         if type(node) is Addr:
             return Addr(node.address.extended(side), span=node.span)
         if type(node) is Choose or type(node) is Bang:
-            node = replace(node, bound=tuple(a.extended(side) for a in node.bound))
+            node = node.replace(bound=tuple(a.extended(side) for a in node.bound))
         return rebuild(node, kids)
 
     return fold(value, renamed)

@@ -19,8 +19,6 @@ order, so checking is deterministic and total on meaningful scripts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import syntax as sx
 from .errors import (
     BranchContextMismatchError,
@@ -37,14 +35,12 @@ DEFAULT_UNIT = "satoshi"
 # ---------------------------------------------------------------------------
 # Derivations
 
-@dataclass(frozen=True)
-class Derivation:
-    """One rule application: its label, the typed node, assigned type, premises."""
+class Derivation(sx.Node):
+    """One rule application: its label, the typed node, assigned type (or
+    None), premises."""
 
-    rule: str
-    node: sx.Expression | sx.Transaction | sx.Program
-    type: sx.LinearType | None
-    children: tuple["Derivation", ...] = ()
+    __slots__ = {"rule": sx.DATA, "node": sx.DATA, "type": sx.DATA, "children": sx.CHILDREN}
+    DEFAULTS = {"children": ()}
 
     @property
     def subject(self) -> str:
@@ -52,11 +48,8 @@ class Derivation:
         return render(self.node)
 
 
-@dataclass(frozen=True)
-class TypedJudgment:
-    program: sx.Program
-    interface_types: tuple[sx.LinearType, ...]
-    derivation: Derivation
+class TypedJudgment(sx.Node):
+    __slots__ = {"program": sx.DATA, "interface_types": sx.DATA, "derivation": sx.DATA}
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +59,8 @@ class _TVar(sx.LinearType):
     """A type not yet determined by the flow, or its dual when ``negated``.
     Internal to checking."""
 
-    __slots__ = ("id", "negated")
-
-    def __init__(self, id: int, negated: bool = False):
-        self.id, self.negated = id, negated
+    __slots__ = {"id": sx.DATA, "negated": sx.DATA}
+    DEFAULTS = {"negated": False}
 
     def __str__(self):
         return f"T{self.id}" + ("^" if self.negated else "")
@@ -214,11 +205,8 @@ class _Unifier:
         while todo:
             node, neg, kids = todo.pop()
             if kids is not None:  # its kids are resolved: build the node
-                if len(kids) == 2:
-                    right = done.pop()
-                    got = (done.pop(), right)
-                else:
-                    got = (done.pop(),)
+                got = tuple(done[-len(kids) :])
+                del done[-len(kids) :]
                 if neg:
                     built = sx.DUAL_CONNECTIVE[type(node)](*got)
                 elif got[0] is kids[0] and got[-1] is kids[-1]:
@@ -356,7 +344,7 @@ class _Scope:
                     raise TypeMismatchError(
                         f"{what} cannot have type {render(unifier.resolve(expected))}", span
                     )
-                slots = (node.body,) if cls in (sx.OfCourse, sx.WhyNot) else (node.left, node.right)
+                slots = sx.children(node)
                 return expected, tuple(map(unifier.neg, slots)) if neg else slots
         shaped, slots = unifier.shaped(cls)
         if expected is not None:
@@ -543,8 +531,10 @@ class TypeContext:
         return out
 
     def consume(self, expr) -> sx.LinearType | None:
+        # Hashes are cached per node, so comparing them first keeps a deep
+        # expression, whose every sub-node is looked up, linear.
         for binding in self._bindings:
-            if not binding[2] and binding[0] == expr:
+            if not binding[2] and hash(binding[0]) == hash(expr) and binding[0] == expr:
                 binding[2] = True
                 return binding[1]
         return None
@@ -621,24 +611,6 @@ def check_expression(
 # ---------------------------------------------------------------------------
 # Derivation replay
 
-def _equal(a, b) -> bool:
-    """Structural equality of two types, iterative, so deep types are fine."""
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        kids = sx.children(a)
-        if not kids:
-            if a != b:
-                return False
-            continue
-        todo.extend(zip(kids, sx.children(b)))
-    return True
-
-
 def replay(judgment: TypedJudgment) -> bool:
     """Re-derive the judgment from its stored derivation tree.
 
@@ -653,11 +625,11 @@ def replay(judgment: TypedJudgment) -> bool:
     if len(root.children) != n + len(judgment.program.pending):
         return False
     if len(judgment.interface_types) != n or not all(
-        child.type is not None and _equal(child.type, t)
+        child.type is not None and child.type == t
         for child, t in zip(root.children, judgment.interface_types)
     ):
         return False
-    return all(map(_rule_holds, sx.walk(root, lambda node: node.children)))
+    return all(map(_rule_holds, sx.walk(root)))
 
 
 def _rule_holds(node: Derivation) -> bool:
@@ -669,25 +641,25 @@ def _rule_holds(node: Derivation) -> bool:
         return (
             len(kids) == 2
             and type(t) is (sx.Tensor if rule == "Tensor" else sx.Par)
-            and _equal(t.left, kids[0].type)
-            and _equal(t.right, kids[1].type)
+            and t.left == kids[0].type
+            and t.right == kids[1].type
         )
     if rule == "Storage":
-        return len(kids) == 1 and isinstance(t, sx.WhyNot) and _equal(t.body, kids[0].type)
+        return len(kids) == 1 and isinstance(t, sx.WhyNot) and t.body == kids[0].type
     if rule == "Disposal":
         return isinstance(t, sx.WhyNot) and not kids
     if rule == "Contraction":
         return (
             len(kids) == 2
             and isinstance(t, sx.WhyNot)
-            and _equal(kids[0].type, t)
-            and _equal(kids[1].type, t)
+            and kids[0].type == t
+            and kids[1].type == t
         )
     if rule == "Left" or rule == "Right":
         return (
             len(kids) == 1
             and isinstance(t, sx.Plus)
-            and _equal(t.left if rule == "Left" else t.right, kids[0].type)
+            and (t.left if rule == "Left" else t.right) == kids[0].type
         )
     if rule == "With":
         return (
@@ -695,15 +667,15 @@ def _rule_holds(node: Derivation) -> bool:
             and isinstance(t, sx.With)
             and kids[0].rule == "Program"
             and kids[1].rule == "Program"
-            and _equal(t.left, _principal_type(kids[0]))
-            and _equal(t.right, _principal_type(kids[1]))
+            and t.left == _principal_type(kids[0])
+            and t.right == _principal_type(kids[1])
         )
     if rule == "Replication":
         return (
             len(kids) == 1
             and isinstance(t, sx.OfCourse)
             and kids[0].rule == "Program"
-            and _equal(t.body, _principal_type(kids[0]))
+            and t.body == _principal_type(kids[0])
         )
     if rule == "Cut":
         if len(kids) != 2:
@@ -712,8 +684,8 @@ def _rule_holds(node: Derivation) -> bool:
         return (
             lt is not None
             and rt is not None
-            and _equal(rt, sx.dual(lt))
-            and _equal(t, lt)
+            and rt == sx.dual(lt)
+            and t == lt
         )
     return rule == "Program"
 

@@ -247,6 +247,29 @@ class TestComposeRewire:
         )
         assert undone == ch.compose_verify(*safe_pair)
 
+    @pytest.mark.parametrize("pair", ["demos", "generated"])
+    def test_rewired_transfers_pass_the_checks(self, pair):
+        # compose_rewire builds its transfers without re-running Transfer's
+        # checks; rebuilding each through the checking constructor must
+        # succeed and give the same chain.
+        if pair == "demos":
+            chains = [ch.load_chain(str(DEMOS / f"cex{i}.json")) for i in (1, 2)]
+        else:
+            # Two generators with one seed draw the same address names.
+            chains = [ChainGenerator(seed=40).chain(60), ChainGenerator(seed=40).chain(45)]
+            assert not ch.isolated(*chains)
+        rewired = ch.compose_rewire(*chains).chain
+        checked = ch.Chain(
+            tuple(
+                ch.Block(tuple(ch.Transfer(t.source, t.target, t.amount, t.unit) for t in block.transfers))
+                for block in rewired.blocks
+            )
+        )
+        assert checked == rewired
+        assert sum(len(b.transfers) for b in rewired.blocks) == sum(
+            len(b.transfers) for c in chains for b in c.blocks
+        )
+
     def test_never_raises_on_shared_addresses(self):
         generator = ChainGenerator(seed=30)
         for i in range(100):

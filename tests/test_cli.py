@@ -1,5 +1,8 @@
 """Command-line contract: exit codes, output determinism, error records."""
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -8,7 +11,7 @@ from llbc import chains as ch
 from llbc import syntax as sx
 from llbc.cli import main
 
-from helpers import DEMOS, SPEND_NORMAL_FORM
+from helpers import DEMOS, REPO, SPEND_NORMAL_FORM
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +112,20 @@ class TestDeepCheck:
         code, out, err = run_cli(capsys, "check", str(script))
         assert code == 0, err
         assert out == f"well-typed: ({' # '.join(['satoshi^'] * 3000)})\n"
+
+
+class TestDeepNesting:
+    """Nesting past the parser's limit (100 levels) is one ``kind=limit``
+    line at the first operand too deep, however deep the input goes."""
+
+    @pytest.mark.parametrize("levels", [401, 100000])
+    def test_nested_parentheses(self, capsys, tmp_path, levels):
+        script = tmp_path / "nested.llbc"
+        script.write_text("(" * levels + "a" + ")" * levels + "{}\n")
+        code, out, err = run_cli(capsys, "check", str(script))
+        assert code == 1
+        assert out == ""
+        assert err == 'ERROR kind=limit span=1:102 msg="operands nest deeper than 100 levels"\n'
 
 
 class TestRun:
@@ -403,3 +420,89 @@ class TestInputErrors:
         assert code == 1
         assert out == ""
         assert err == f"ERROR kind=io msg={json.dumps(msg)}\n"
+
+
+def _loaded_modules(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports llbc from this
+    checkout; it prints JSON, which is returned."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "LLBC_UNITS")}
+    env["PYTHONPATH"] = str(REPO / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=str(REPO), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_RUN_MAIN = """
+import json, sys
+from llbc import cli
+code = cli.main({argv!r})
+print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+"""
+
+# The checker, reducer and parser: what ``compose`` and usage errors skip.
+_SCRIPT_LAYERS = {"llbc.parser", "llbc.typecheck", "llbc.reduce"}
+
+
+# ``llbc.__all__`` as it was when the package imported every sub-module
+# eagerly: its names and the sub-modules themselves.
+PACKAGE_NAMES = [
+    "Addr", "Address", "Atom", "Bang", "Block", "BranchContextMismatchError", "Chain",
+    "Choose", "Conn", "Contract", "DEFAULT_UNITS", "Dispose", "Dual", "DualityError",
+    "Expression", "FuelExhausted", "HeightMismatch", "Inl", "Inr", "Iso", "IsolationError",
+    "Ledger", "LinearType", "LlbcError", "NonLinearAddressError", "NormalizeResult",
+    "NotInLedgerForm", "OfCourse", "Par", "ParseError", "Plus", "Program",
+    "PromotionContextError", "Redex", "RewireResult", "SourceSpan", "Store", "Tensor",
+    "Transaction", "Transfer", "TypeCheckError", "TypeContext", "TypeMismatchError",
+    "TypedJudgment", "Unit", "WhyNot", "With", "active_units", "addresses",
+    "alpha_equivalent", "blockwise_isolated", "chain_from_json", "chain_to_json",
+    "chain_to_program", "chains", "check", "check_expression", "compose_rewire",
+    "compose_verify", "desugar_obligation", "dual", "dualize_expr", "errors",
+    "find_redexes", "free_addresses", "isolated", "load_units", "node_count", "normalize",
+    "parse_expression", "parse_program", "parse_script", "parse_type", "parser",
+    "readback_ledger", "reduce", "rename", "render", "replay", "step", "syntax",
+    "typecheck", "unit_multiset", "units",
+]
+
+
+class TestImports:
+    """Each command imports only the layers it uses."""
+
+    def test_cli_import_is_light(self):
+        loaded = _loaded_modules("import json, sys, llbc.cli; print(json.dumps(sorted(sys.modules)))")
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded
+        assert not _SCRIPT_LAYERS & set(loaded)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["compose", "--mode", "verify", "demos/safe1.json", "demos/safe2.json", "-o", os.devnull], 0),
+            (["compose", "--mode", "rewire", "demos/cex1.json", "demos/cex2.json", "-o", os.devnull], 0),
+            (["compose", "--check-blockwise", "demos/cex1.json", "demos/cex2.json"], 0),
+            (["compose", "demos/safe1.json", "demos/safe2.json"], 2),
+            (["check"], 2),
+            ([], 2),
+        ],
+    )
+    def test_compose_and_usage_errors_skip_script_layers(self, argv, code):
+        outcome = _loaded_modules(_RUN_MAIN.format(argv=argv))
+        assert outcome["code"] == code
+        assert not _SCRIPT_LAYERS & set(outcome["modules"])
+
+    def test_check_loads_what_it_uses(self):
+        outcome = _loaded_modules(_RUN_MAIN.format(argv=["check", "demos/spend.llbc"]))
+        assert outcome["code"] == 0
+        assert {"llbc.parser", "llbc.typecheck"} <= set(outcome["modules"])
+        assert "llbc.reduce" not in outcome["modules"]
+
+    def test_package_names_resolve_lazily(self):
+        outcome = _loaded_modules(
+            "import json, llbc\n"
+            "missing = [n for n in llbc.__all__ if getattr(llbc, n, None) is None]\n"
+            "print(json.dumps({'names': sorted(llbc.__all__), 'missing': missing}))"
+        )
+        assert outcome["missing"] == []
+        assert outcome["names"] == sorted(PACKAGE_NAMES)
+

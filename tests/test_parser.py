@@ -1,4 +1,6 @@
 """Concrete syntax: golden parses, precedence, spans, and round trips."""
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,7 +8,7 @@ import hypothesis.strategies as st
 
 from llbc import parser
 from llbc import syntax as sx
-from llbc.errors import ParseError
+from llbc.errors import LimitError, ParseError
 from llbc.generate import ProgramGenerator
 
 
@@ -186,6 +188,90 @@ class TestErrors:
         assert p.span is not None
         assert p.pending[0].span is not None
         assert p.pending[0].left.span is not None
+
+
+def _nested(form, depth):
+    """``form`` nested ``depth`` times around an innermost operand."""
+    opening, leaf, closing = form
+    return opening * depth + leaf + closing * depth
+
+
+_NESTINGS = {
+    "parentheses": (parser.parse_expression, ("(", "a", ")")),
+    "type parentheses": (parser.parse_type, ("(", "satoshi", ")")),
+    "selections": (parser.parse_expression, ("inl(", "a", ")")),
+    "obligations": (parser.parse_expression, ("a -o ", "a", "")),
+    "type implications": (parser.parse_type, ("satoshi -o ", "satoshi", "")),
+    "boxes": (parser.parse_expression, ("!(){ (", "a", "){} }")),
+}
+
+
+class TestNestingLimit:
+    """Operands nest at most ``MAX_NESTING`` levels; deeper input is one
+    ``LimitError``, never a ``RecursionError``."""
+
+    @pytest.mark.parametrize("name", _NESTINGS)
+    def test_deep_nesting_is_a_limit_error(self, name):
+        parse, form = _NESTINGS[name]
+        parse(_nested(form, parser.MAX_NESTING // 2))
+        for depth in (parser.MAX_NESTING + 1, 100000):
+            with pytest.raises(LimitError) as caught:
+                parse(_nested(form, depth))
+            assert caught.value.kind == "limit"
+
+    def test_limit_is_exact_for_parentheses(self):
+        # The outermost operand is the first level.
+        deepest = _nested(("(", "a", ")"), parser.MAX_NESTING - 1)
+        assert parser.parse_expression(deepest) == sx.Addr(sx.Address("a"))
+        with pytest.raises(LimitError) as caught:
+            parser.parse_expression("(" + deepest + ")")
+        assert str(caught.value.span) == f"1:{parser.MAX_NESTING + 1}"
+
+    def test_prefix_runs_do_not_nest(self):
+        n = 100000
+        stored = parser.parse_expression("?" * n + "a")
+        assert sx.node_count(stored) == n + 1
+        assert parser.render(stored) == "?" * n + "a"
+        banged = parser.parse_type("!?" * (n // 2) + "satoshi")
+        assert parser.render(banged) == "!?" * (n // 2) + "satoshi"
+
+
+class TestSugarSpines:
+    @pytest.mark.parametrize(
+        "source, rendered",
+        [
+            # Recorded from the renderer that walked each spine at every node.
+            ("satoshi * satoshi * btc * btc", "2 . satoshi * btc * btc"),
+            ("btc * satoshi * satoshi", "btc * satoshi * satoshi"),
+            ("3 . satoshi * (2 . btc)", "3 . satoshi * 2 . btc"),
+            ("a * satoshi * satoshi", "a * satoshi * satoshi"),
+            ("2 . satoshi * 2 . satoshi", "2 . satoshi * 2 . satoshi"),
+            ("satoshi * (satoshi * satoshi)", "satoshi * 2 . satoshi"),
+            ("(a * satoshi) # 2 . btc * satoshi", "a * satoshi # 2 . btc * satoshi"),
+            ("3 . satoshi * a * 2 . btc", "3 . satoshi * a * 2 . btc"),
+        ],
+    )
+    def test_sugar(self, source, rendered):
+        assert parser.render(parser.parse_expression(source)) == rendered
+
+    def test_long_spine_renders_in_linear_time(self):
+        # ``a * satoshi * ... * satoshi`` is no ``N . unit`` at any level;
+        # finding that out must not re-walk the spine below each node.
+        def best_time(n):
+            e = sx.Addr(sx.Address("a"))
+            for _ in range(n):
+                e = sx.Iso(e, sx.Unit("satoshi"))
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                text = parser.render(e)
+                best = min(best, time.perf_counter() - start)
+            assert text == "a" + " * satoshi" * n
+            return best
+
+        small, large = best_time(2000), best_time(8000)
+        # Linear gives a ratio near 4; re-walking each spine gives 16.
+        assert large / small < 8
 
 
 class TestScripts:

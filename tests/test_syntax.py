@@ -303,6 +303,68 @@ class TestTraversal:
         assert occurrences == [(sx.Address("m"), sx.BINDER)]
 
 
+def _iso_chain(n, last="satoshi"):
+    """An n-deep left spine of isolations whose deepest literal is ``last``."""
+    e = sx.Unit(last)
+    for _ in range(n - 1):
+        e = sx.Iso(e, sx.Unit("satoshi"))
+    return e
+
+
+class TestNode:
+    """The immutable node base: generated constructors and repr, iterative
+    equality and hashing, no assignment."""
+
+    N = 100000
+
+    def test_deep_equality_and_hash(self):
+        a, b = _iso_chain(self.N), _iso_chain(self.N)
+        assert a == b and hash(a) == hash(b)
+        differs = _iso_chain(self.N, last="btc")
+        assert a != differs
+        assert hash(a) != hash(differs)
+        assert len({a, b, differs}) == 2
+
+    def test_span_is_outside_equality_and_repr(self):
+        span = sx.SourceSpan(0, 1, 1, 1)
+        assert sx.Unit("btc", span=span) == sx.Unit("btc")
+        assert hash(sx.Unit("btc", span=span)) == hash(sx.Unit("btc"))
+        assert repr(sx.Unit("btc", span=span)) == "Unit(unit='btc')"
+        assert repr(sx.Atom("btc")) == "Atom(unit='btc', negated=False)"
+
+    def test_constructors_and_match_args_keep_field_order(self):
+        assert sx.Choose.__match_args__ == ("bound", "left", "right", "span")
+        assert sx.Address("a", path=("l",)) == sx.Address("a", ("l",))
+        assert sx.Iso(left=sx.Unit("btc"), right=sx.Dispose()) == sx.Iso(sx.Unit("btc"), sx.Dispose())
+        with pytest.raises(TypeError):
+            sx.Iso(sx.Unit("btc"))
+
+    def test_assignment_raises(self):
+        node = sx.Iso(sx.Unit("btc"), sx.Dispose())
+        with pytest.raises(AttributeError):
+            node.left = sx.Dispose()
+        with pytest.raises(AttributeError):
+            del node.right
+        assert node.left == sx.Unit("btc")
+
+    def test_replace_checks_like_a_constructor(self):
+        box = parser.parse_expression("!(x, y){ (a, b, c){} }")
+        assert box.replace(bound=(sx.Address("z"), sx.Address("y"))).body is box.body
+        with pytest.raises(ValueError):
+            box.replace(bound=(sx.Address("x"), sx.Address("x")))
+
+    def test_trusted_skips_the_check(self):
+        with pytest.raises(ValueError):
+            sx.SourceSpan(2, 1, 1, 1)
+        span = sx.SourceSpan.trusted(2, 1, 1, 1)
+        assert (span.begin, span.end) == (2, 1)
+        assert sx.Address("a").extended(sx.LEFT) == sx.Address("a", (sx.LEFT,))
+
+    def test_addresses_order_by_name_then_path(self):
+        addresses = [sx.Address("b"), sx.Address("a", ("r",)), sx.Address("a"), sx.Address("a", ("l",))]
+        assert [a.render() for a in sorted(addresses)] == ["a", "a.l", "a.r", "b"]
+
+
 class TestAlphaTransitivity:
     # A box body's pending list is a multiset at every level, not only at
     # the top: B reorders both levels of A, C only the box body.

@@ -339,6 +339,15 @@ class TestDeep:
         assert parser.render(t.right) == " * ".join(["satoshi"] * 20000)
         assert residual.fully_consumed()
 
+    @pytest.mark.parametrize("n", [3000, N])
+    def test_deep_literal_bound_in_the_context(self, n):
+        # Every sub-node of the n-fold literal is looked up among the
+        # bindings, which hold the (n-1)-fold literal: its left operand.
+        ctx = tc.TypeContext([(_literal(n - 1), sx.Atom("btc"))])
+        t, residual = tc.check_expression(_literal(n), ctx)
+        assert t == sx.Tensor(sx.Atom("btc"), sx.Atom("satoshi"))
+        assert residual.fully_consumed()
+
 
 def _pinned_corpus(count=300, seed=606):
     """Generated programs: half at a raised exponential bias; of each three,
