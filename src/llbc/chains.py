@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from . import syntax as sx
-from .errors import HeightMismatch, IsolationError
+from .errors import HeightMismatch, IsolationError, LimitError
 from .units import is_valid_unit
 
 
@@ -206,11 +206,35 @@ def _transfer_fields(raw) -> tuple:
     return source, target, amount, unit
 
 
+# Arrays and objects nest at most this deep in a chain file; a chain
+# nests five levels. The JSON decoder recurses once per level and has no
+# depth setting, so deeper input is refused before it runs.
+MAX_JSON_NESTING = 100
+_NOT_BRACKETS = bytes(b for b in range(256) if b not in b"[]{}")
+_SQUARE = bytes.maketrans(b"{}", b"[]")
+
+
+def _check_nesting(text: str) -> None:
+    """Raise :class:`LimitError` when ``text`` may nest deeper than
+    ``MAX_JSON_NESTING``: keep only its brackets, inside strings too, all
+    made square, and delete every innermost ``[]``, one level per pass. An
+    opening bracket left unmatched counts as one more level."""
+    brackets = text.encode("ascii", "ignore").translate(_SQUARE, _NOT_BRACKETS)
+    depth = 0
+    while depth <= MAX_JSON_NESTING and b"[]" in brackets:
+        brackets = brackets.replace(b"[]", b"")
+        depth += 1
+    if depth + brackets.count(b"[") > MAX_JSON_NESTING:
+        raise LimitError(f"chain JSON nests deeper than {MAX_JSON_NESTING} levels")
+
+
 def chain_from_json(text: str) -> Chain:
-    """Load a chain. Anything that is not a valid chain raises ValueError,
-    naming the block and transfer index when it lies inside one. Each
-    distinct address name is validated and built once per call, so equal
-    addresses are one object."""
+    """Load a chain. Input nested deeper than ``MAX_JSON_NESTING`` raises
+    :class:`LimitError`; anything else that is not a valid chain raises
+    ValueError, naming the block and transfer index when it lies inside
+    one. Each distinct address name is validated and built once per call,
+    so equal addresses are one object."""
+    _check_nesting(text)
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("blocks"), list):
         raise ValueError("chain JSON must be an object with a 'blocks' array")

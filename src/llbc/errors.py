@@ -22,7 +22,8 @@ class ParseError(LlbcError):
 
 
 class LimitError(ParseError):
-    """Input nested deeper than the parser allows (``parser.MAX_NESTING``)."""
+    """Input nested deeper than the parser (``parser.MAX_NESTING``) or the
+    chain loader (``chains.MAX_JSON_NESTING``) allows."""
 
     kind = "limit"
 

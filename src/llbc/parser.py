@@ -60,37 +60,45 @@ _PUNCT = {
 _LEXEME = re.compile(r"(\n)|[ \t\r]+|//[^\n]*|(-o|[(){},;*#@^?!&+.])|(\w+)|(.)", re.DOTALL)
 
 
-class Token(sx.Node):
-    __slots__ = {"kind": sx.DATA, "text": sx.DATA, "span": sx.DATA}
+# A token is a plain tuple ``(kind, text, begin, end, line, column)``:
+# its kind, its text, its half-open range in the source, and the 1-based
+# line and column of its first character. Spans are built only for the
+# syntax nodes and errors that keep them.
+KIND, TEXT, BEGIN, END, LINE, COLUMN = range(6)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def tokenize(text: str) -> list[tuple]:
+    """The tokens of ``text``, ending in one ``EOF`` token."""
+    tokens: list[tuple] = []
     append = tokens.append
-    span = sx.SourceSpan
+    punct = _PUNCT
     line, line_start = 1, 0
     for m in _LEXEME.finditer(text):
         group = m.lastindex
-        if group is None:
-            continue
-        start = m.start()
-        if group == 1:
-            line, line_start = line + 1, start + 1
-            continue
-        word = m.group()
-        where = span(start, m.end(), line, start - line_start + 1)
         if group == 2:
-            append(Token(_PUNCT[word], word, where))
+            start, end = m.span()
+            word = m[2]
+            append((punct[word], word, start, end, line, start - line_start + 1))
         elif group == 3:
+            start, end = m.span()
+            word = m[3]
             # ``int`` reads exactly the decimal words; ``isdigit`` would let
             # superscripts such as "²" through.
             kind = "INT" if word.isdecimal() else "UNDER" if word == "_" else "IDENT"
-            append(Token(kind, word, where))
-        else:
-            raise ParseError(f"unsupported character {word!r}", where)
+            append((kind, word, start, end, line, start - line_start + 1))
+        elif group == 1:
+            line, line_start = line + 1, m.end()
+        elif group == 4:
+            start, end = m.span()
+            where = sx.SourceSpan(start, end, line, start - line_start + 1)
+            raise ParseError(f"unsupported character {m[4]!r}", where)
     n = len(text)
-    append(Token("EOF", "", span(n, n, line, n - line_start + 1)))
+    append(("EOF", "", n, n, line, n - line_start + 1))
     return tokens
+
+
+def _span(tok: tuple) -> sx.SourceSpan:
+    return sx.SourceSpan(tok[BEGIN], tok[END], tok[LINE], tok[COLUMN])
 
 
 class _Op(NamedTuple):
@@ -138,53 +146,57 @@ _EXPR = "expr"
 _TYPE = "type"
 
 
-def _expected(what: str, tok: Token, kind: str) -> ParseError:
+def _expected(what: str, tok: tuple, kind: str) -> ParseError:
     return ParseError(
-        f"expected {what}, found {tok.text or 'end of input'!r}", tok.span, expected={kind}
+        f"expected {what}, found {tok[TEXT] or 'end of input'!r}", _span(tok), expected={kind}
     )
 
 
 class _Parser:
     def __init__(self, text: str, units: frozenset[str]):
         self.tokens = tokenize(text)
+        # A second EOF, so that looking one past the end needs no clamp.
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
         self.units = units
         self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> tuple:
+        """The next token, or the one after it; reading stops at EOF."""
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[KIND] != "EOF":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, kind: str) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[KIND] != kind:
             raise _expected(kind, tok, kind)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos][KIND] == kind
 
-    def span_from(self, begin: sx.SourceSpan) -> sx.SourceSpan:
-        prev = self.tokens[max(self.pos - 1, 0)].span
-        return sx.SourceSpan(begin.begin, prev.end, begin.line, begin.column)
+    def span_from(self, tok: tuple) -> sx.SourceSpan:
+        """From the start of ``tok`` to the end of the last token read."""
+        return sx.SourceSpan(tok[BEGIN], self.tokens[self.pos - 1][END], tok[LINE], tok[COLUMN])
 
     def finish(self, value):
         tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.span)
+        if tok[KIND] != "EOF":
+            raise ParseError(f"unexpected trailing input {tok[TEXT]!r}", _span(tok))
         return value
 
     # -- programs ----------------------------------------------------------
 
     def program(self) -> sx.Program:
-        begin = self.expect("LPAREN").span
+        begin = self.expect("LPAREN")
         interface: list[sx.Expression] = []
         if not self.at("RPAREN"):
             interface.append(self.infix(_EXPR))
@@ -206,7 +218,7 @@ class _Parser:
 
     def transaction(self) -> sx.Transaction:
         tok = self.peek()
-        if not (tok.kind == "IDENT" and tok.text == "txn"):
+        if not (tok[KIND] == "IDENT" and tok[TEXT] == "txn"):
             raise _expected("txn", tok, "txn")
         self.next()
         self.expect("LPAREN")
@@ -214,7 +226,7 @@ class _Parser:
         self.expect("COMMA")
         right = self.infix(_EXPR)
         self.expect("RPAREN")
-        return sx.Transaction(left, right, span=self.span_from(tok.span))
+        return sx.Transaction(left, right, span=self.span_from(tok))
 
     # -- operators, both sorts ---------------------------------------------
 
@@ -224,12 +236,12 @@ class _Parser:
         carry no span. Nesting is counted here, where every nested operand
         starts."""
         if self.depth == MAX_NESTING:
-            raise LimitError(f"operands nest deeper than {MAX_NESTING} levels", self.peek().span)
+            raise LimitError(f"operands nest deeper than {MAX_NESTING} levels", _span(self.peek()))
         self.depth += 1
         left = self.prefixed(sort)
         while True:
             tok = self.peek()
-            op = _INFIX.get(tok.kind)
+            op = _INFIX.get(tok[KIND])
             build = op and getattr(op, sort)
             if build is None or op.level < floor:
                 self.depth -= 1
@@ -239,7 +251,7 @@ class _Parser:
             try:
                 left = build(left, right, span=self._join(left, right) if sort == _EXPR else None)
             except DualityError as err:
-                raise ParseError(str(err), err.span or tok.span) from err
+                raise ParseError(str(err), err.span or _span(tok)) from err
 
     def prefixed(self, sort: str):
         """An operand under its prefixes, which are read in a loop."""
@@ -247,13 +259,13 @@ class _Parser:
         while self.at("QUERY") or (sort == _TYPE and self.at("BANG")):
             prefixes.append(self.next())
         tok = self.peek()
-        if sort == _EXPR and tok.kind == "IDENT" and tok.text in ("inl", "inr"):
+        if sort == _EXPR and tok[KIND] == "IDENT" and tok[TEXT] in ("inl", "inr"):
             self.next()
             self.expect("LPAREN")
             inner = self.infix(_EXPR)
             self.expect("RPAREN")
-            cls = sx.Inl if tok.text == "inl" else sx.Inr
-            value = cls(inner, span=self.span_from(tok.span))
+            cls = sx.Inl if tok[TEXT] == "inl" else sx.Inr
+            value = cls(inner, span=self.span_from(tok))
         else:
             value = self.primary(sort)
             while self.at("CARET"):
@@ -264,81 +276,83 @@ class _Parser:
                 try:
                     value = sx.dualize_expr(value)
                 except DualityError as err:
-                    raise ParseError(str(err), caret.span) from err
+                    raise ParseError(str(err), _span(caret)) from err
         for tok in reversed(prefixes):
             if sort == _TYPE:
-                value = sx.OfCourse(value) if tok.kind == "BANG" else sx.WhyNot(value)
+                value = sx.OfCourse(value) if tok[KIND] == "BANG" else sx.WhyNot(value)
             else:
-                value = sx.Store(value, span=self.span_from(tok.span))
+                value = sx.Store(value, span=self.span_from(tok))
         return value
 
     def primary(self, sort: str):
         tok = self.peek()
-        if tok.kind == "LPAREN":
+        kind, text = tok[KIND], tok[TEXT]
+        if kind == "LPAREN":
             self.next()
             value = self.infix(sort)
             self.expect("RPAREN")
             return value
         if sort == _TYPE:
-            if tok.kind == "IDENT":
-                if tok.text not in self.units:
-                    raise ParseError(f"unknown currency unit {tok.text!r}", tok.span)
+            if kind == "IDENT":
+                if text not in self.units:
+                    raise ParseError(f"unknown currency unit {text!r}", _span(tok))
                 self.next()
-                return sx.Atom(tok.text, span=tok.span)
+                return sx.Atom(text, span=_span(tok))
             raise _expected("a type", tok, "type")
-        if tok.kind == "UNDER":
+        if kind == "UNDER":
             self.next()
-            return sx.Dispose(span=tok.span)
-        if tok.kind == "INT":
+            return sx.Dispose(span=_span(tok))
+        if kind == "INT":
             return self.unit_chain()
-        if tok.kind == "BANG":
+        if kind == "BANG":
             return self.bang()
-        if tok.kind == "IDENT" and tok.text == "choose":
+        if kind == "IDENT" and text == "choose":
             return self.choose()
-        if tok.kind == "IDENT":
-            if tok.text in KEYWORDS:
-                raise ParseError(f"{tok.text!r} is a keyword", tok.span)
+        if kind == "IDENT":
+            if text in KEYWORDS:
+                raise ParseError(f"{text!r} is a keyword", _span(tok))
             self.next()
-            if tok.text in self.units:
+            if text in self.units:
                 if self.at("DOT"):
                     raise ParseError(
                         "freshness suffix is not allowed on a currency unit",
-                        self.peek().span,
+                        _span(self.peek()),
                     )
-                return sx.Unit(tok.text, span=tok.span)
-            return sx.Addr(self.address_suffix(tok), span=self.span_from(tok.span))
+                return sx.Unit(text, span=_span(tok))
+            return sx.Addr(self.address_suffix(tok), span=self.span_from(tok))
         raise _expected("an expression", tok, "expression")
 
     # -- expression forms --------------------------------------------------
 
     def unit_chain(self) -> sx.Expression:
         tok = self.expect("INT")
-        count = int(tok.text)
+        count = int(tok[TEXT])
         if count < 1:
-            raise ParseError("unit multiplier must be positive", tok.span)
+            raise ParseError("unit multiplier must be positive", _span(tok))
         self.expect("DOT")
         unit_tok = self.expect("IDENT")
-        if unit_tok.text not in self.units:
-            raise ParseError(f"unknown currency unit {unit_tok.text!r}", unit_tok.span)
-        span = self.span_from(tok.span)
-        expr: sx.Expression = sx.Unit(unit_tok.text, span=span)
+        unit = unit_tok[TEXT]
+        if unit not in self.units:
+            raise ParseError(f"unknown currency unit {unit!r}", _span(unit_tok))
+        span = self.span_from(tok)
+        expr: sx.Expression = sx.Unit(unit, span=span)
         for _ in range(count - 1):
-            expr = sx.Iso(expr, sx.Unit(unit_tok.text, span=span), span=span)
+            expr = sx.Iso(expr, sx.Unit(unit, span=span), span=span)
         return expr
 
-    def address_suffix(self, tok: Token) -> sx.Address:
+    def address_suffix(self, tok: tuple) -> sx.Address:
         path: list[str] = []
         while self.at("DOT"):
             nxt = self.peek(1)
-            if nxt.kind == "IDENT" and nxt.text in ("l", "r"):
+            if nxt[KIND] == "IDENT" and nxt[TEXT] in ("l", "r"):
                 self.next()
-                path.append(self.next().text)
+                path.append(self.next()[TEXT])
             else:
                 break
         try:
-            return sx.Address(tok.text, tuple(path))
+            return sx.Address(tok[TEXT], tuple(path))
         except ValueError as err:
-            raise ParseError(str(err), tok.span) from err
+            raise ParseError(str(err), _span(tok)) from err
 
     def bound_addresses(self) -> tuple[sx.Address, ...]:
         self.expect("LPAREN")
@@ -346,9 +360,9 @@ class _Parser:
         if not self.at("RPAREN"):
             while True:
                 tok = self.expect("IDENT")
-                if tok.text in KEYWORDS or tok.text in self.units:
+                if tok[TEXT] in KEYWORDS or tok[TEXT] in self.units:
                     raise ParseError(
-                        f"{tok.text!r} cannot be used as a bound address", tok.span
+                        f"{tok[TEXT]!r} cannot be used as a bound address", _span(tok)
                     )
                 bound.append(self.address_suffix(tok))
                 if self.at("COMMA"):
@@ -357,7 +371,7 @@ class _Parser:
                 break
         self.expect("RPAREN")
         if len(set(bound)) != len(bound):
-            raise ParseError("bound addresses must be pairwise distinct", self.peek().span)
+            raise ParseError("bound addresses must be pairwise distinct", _span(self.peek()))
         return tuple(bound)
 
     def choose(self) -> sx.Expression:
@@ -368,17 +382,17 @@ class _Parser:
         self.expect("SEMI")
         right = self.program()
         self.expect("RBRACE")
-        return sx.Choose(bound, left, right, span=self.span_from(tok.span))
+        return sx.Choose(bound, left, right, span=self.span_from(tok))
 
     def bang(self) -> sx.Expression:
         tok = self.expect("BANG")
-        if self.peek().kind == "LPAREN":
+        if self.at("LPAREN"):
             bound = self.bound_addresses()
             self.expect("LBRACE")
             body = self.program()
             self.expect("RBRACE")
-            return sx.Bang(bound, body, span=self.span_from(tok.span))
-        raise ParseError("expected '(' after '!'", self.peek().span, expected={"LPAREN"})
+            return sx.Bang(bound, body, span=self.span_from(tok))
+        raise ParseError("expected '(' after '!'", _span(self.peek()), expected={"LPAREN"})
 
     @staticmethod
     def _join(left, right) -> sx.SourceSpan | None:

@@ -49,7 +49,26 @@ class Derivation(sx.Node):
 
 
 class TypedJudgment(sx.Node):
+    """A program, its interface types and its derivation. ``check`` stores
+    how to build the tree, which is built the first time ``derivation`` is
+    read (``==``, ``hash`` and ``repr`` read it too); a tree passed in is
+    kept as it is."""
+
     __slots__ = {"program": sx.DATA, "interface_types": sx.DATA, "derivation": sx.DATA}
+
+
+_stored_derivation = TypedJudgment.derivation
+
+
+def _derivation(judgment: TypedJudgment) -> Derivation:
+    value = _stored_derivation.__get__(judgment)
+    if callable(value):  # the build ``check`` left
+        value = value()
+        _stored_derivation.__set__(judgment, value)
+    return value
+
+
+TypedJudgment.derivation = property(_derivation, doc="The derivation tree, built on first read.")
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +267,8 @@ class _Unifier:
 # The checking scope
 #
 # While checking, a derivation is a tuple ``(rule, node, type, premises)``
-# whose type may still hold variables; ``check`` builds the
-# :class:`Derivation` tree once every variable is bound.
+# whose type may still hold variables; the :class:`Derivation` tree is
+# built from it, once every variable is bound, when it is first read.
 
 # Rules that force the expected type into a connective's shape: the rule,
 # the connective, and how an error names the form.
@@ -502,11 +521,15 @@ def check(
     if any(isinstance(n, _TVar) for t in types for n in sx.walk(t)):
         raise TypeMismatchError("could not resolve all interface types", program.span)
 
+    # Nothing binds from here on, so ``memo`` stays valid for the build;
+    # the closure keeps alive the nodes whose ids key it.
     def build(raw, premises):
         rule, node, t, _ = raw
         return Derivation(rule, node, None if t is None else unifier.resolve(t, memo=memo), premises)
 
-    return TypedJudgment(program, tuple(types), sx.fold(derivation, build, lambda raw: raw[3]))
+    return TypedJudgment(
+        program, tuple(types), lambda: sx.fold(derivation, build, lambda raw: raw[3])
+    )
 
 
 # -- expression-level checking against an explicit context --------------------

@@ -11,7 +11,7 @@ from llbc import chains as ch
 from llbc import parser
 from llbc import reduce as rd
 from llbc import syntax as sx
-from llbc.errors import HeightMismatch, IsolationError
+from llbc.errors import HeightMismatch, IsolationError, LimitError
 from llbc.generate import ChainGenerator
 
 from helpers import DEMOS
@@ -357,6 +357,32 @@ class TestJson:
     def test_wrong_shape_names_its_place(self, payload, msg):
         with pytest.raises(ValueError, match=re.escape(msg)):
             ch.chain_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("depth", [ch.MAX_JSON_NESTING, ch.MAX_JSON_NESTING + 1])
+    def test_nesting_limit(self, depth):
+        # ``depth`` levels: the outer object, then arrays.
+        text = '{"blocks": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+        if depth > ch.MAX_JSON_NESTING:
+            with pytest.raises(LimitError, match="nests deeper than"):
+                ch.chain_from_json(text)
+        else:
+            with pytest.raises(ValueError, match="a block must be an object, not list"):
+                ch.chain_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"blocks": [], "x": "' + "[" * 101 + '"}',  # brackets in strings count
+            "[" * 60 + "{" * 60,  # unclosed brackets count as levels
+        ],
+    )
+    def test_nesting_limit_counts_every_bracket(self, text):
+        with pytest.raises(LimitError):
+            ch.chain_from_json(text)
+
+    def test_brackets_balanced_in_strings_are_harmless(self):
+        chain = ch.chain_from_json('{"blocks": [], "note": "' + "[]" * 500 + '"}')
+        assert chain == ch.Chain(())
 
     def test_validation(self):
         with pytest.raises(ValueError):

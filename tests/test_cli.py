@@ -421,6 +421,26 @@ class TestInputErrors:
         assert out == ""
         assert err == f"ERROR kind=io msg={json.dumps(msg)}\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"blocks": ' + "[" * 100000 + "]" * 100000 + "}",
+            '{"blocks": ' + "[" * 100000,
+            '{"blocks": [' + '{"transfers": [' * 60 + "]}" * 60 + "]}",
+        ],
+        ids=["balanced", "unclosed", "alternating"],
+    )
+    def test_deeply_nested_chain_is_a_limit_error(self, capsys, tmp_path, text):
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        code, out, err = run_cli(
+            capsys, "compose", "--mode", "verify", str(deep), str(DEMOS / "safe1.json")
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"ERROR kind=limit msg={json.dumps(f'chain JSON nests deeper than {ch.MAX_JSON_NESTING} levels')}\n"
+        )
+
 
 def _loaded_modules(code: str) -> dict:
     """Run ``code`` in a fresh interpreter that imports llbc from this

@@ -1,5 +1,8 @@
 """Concrete syntax: golden parses, precedence, spans, and round trips."""
+import hashlib
+import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -438,3 +441,129 @@ class TestScriptHeaderInPlace:
     def test_empty_header(self):
         assert parser.parse_script("-- types:\n(){}")[1] == []
         assert parser.parse_script("-- types:   \r\n(){}")[1] == []
+
+
+class TestTokenize:
+    @pytest.mark.parametrize(
+        "source, tokens",
+        [
+            ("a * b",
+             [("IDENT", "a", 0, 1, 1, 1), ("STAR", "*", 2, 3, 1, 3), ("IDENT", "b", 4, 5, 1, 5),
+              ("EOF", "", 5, 5, 1, 6)]),
+            ("(x){ txn(x, 3 . satoshi) } // comment\n",
+             [("LPAREN", "(", 0, 1, 1, 1), ("IDENT", "x", 1, 2, 1, 2), ("RPAREN", ")", 2, 3, 1, 3),
+              ("LBRACE", "{", 3, 4, 1, 4), ("IDENT", "txn", 5, 8, 1, 6), ("LPAREN", "(", 8, 9, 1, 9),
+              ("IDENT", "x", 9, 10, 1, 10), ("COMMA", ",", 10, 11, 1, 11), ("INT", "3", 12, 13, 1, 13),
+              ("DOT", ".", 14, 15, 1, 15), ("IDENT", "satoshi", 16, 23, 1, 17),
+              ("RPAREN", ")", 23, 24, 1, 24), ("RBRACE", "}", 25, 26, 1, 26),
+              ("EOF", "", 38, 38, 2, 1)]),
+            ("a\r\n\t-o b",
+             [("IDENT", "a", 0, 1, 1, 1), ("LOLLI", "-o", 4, 6, 2, 2), ("IDENT", "b", 7, 8, 2, 5),
+              ("EOF", "", 8, 8, 2, 6)]),
+            ("// only a comment", [("EOF", "", 17, 17, 1, 18)]),
+            # A superscript is a word character but not a decimal digit.
+            ("\t\ty\n\n  ²",
+             [("IDENT", "y", 2, 3, 1, 3), ("IDENT", "²", 7, 8, 3, 3), ("EOF", "", 8, 8, 3, 4)]),
+            ("١.satoshi",
+             [("INT", "١", 0, 1, 1, 1), ("DOT", ".", 1, 2, 1, 2), ("IDENT", "satoshi", 2, 9, 1, 3),
+              ("EOF", "", 9, 9, 1, 10)]),
+            ("", [("EOF", "", 0, 0, 1, 1)]),
+            ("!(s){ (_, ?btc){} }^&+@#",
+             [("BANG", "!", 0, 1, 1, 1), ("LPAREN", "(", 1, 2, 1, 2), ("IDENT", "s", 2, 3, 1, 3),
+              ("RPAREN", ")", 3, 4, 1, 4), ("LBRACE", "{", 4, 5, 1, 5), ("LPAREN", "(", 6, 7, 1, 7),
+              ("UNDER", "_", 7, 8, 1, 8), ("COMMA", ",", 8, 9, 1, 9), ("QUERY", "?", 10, 11, 1, 11),
+              ("IDENT", "btc", 11, 14, 1, 12), ("RPAREN", ")", 14, 15, 1, 15),
+              ("LBRACE", "{", 15, 16, 1, 16), ("RBRACE", "}", 16, 17, 1, 17),
+              ("RBRACE", "}", 18, 19, 1, 19), ("CARET", "^", 19, 20, 1, 20), ("AMP", "&", 20, 21, 1, 21),
+              ("PLUS", "+", 21, 22, 1, 22), ("AT", "@", 22, 23, 1, 23), ("HASH", "#", 23, 24, 1, 24),
+              ("EOF", "", 24, 24, 1, 25)]),
+            ("x.l.r;\n-o-o",
+             [("IDENT", "x", 0, 1, 1, 1), ("DOT", ".", 1, 2, 1, 2), ("IDENT", "l", 2, 3, 1, 3),
+              ("DOT", ".", 3, 4, 1, 4), ("IDENT", "r", 4, 5, 1, 5), ("SEMI", ";", 5, 6, 1, 6),
+              ("LOLLI", "-o", 7, 9, 2, 1), ("LOLLI", "-o", 9, 11, 2, 3), ("EOF", "", 11, 11, 2, 5)]),
+        ],
+    )
+    def test_kind_text_and_position(self, source, tokens):
+        assert parser.tokenize(source) == tokens
+
+    def test_unsupported_character(self):
+        with pytest.raises(ParseError) as caught:
+            parser.tokenize("a\n $")
+        err = caught.value
+        assert (err.message, f"{err.span.begin}-{err.span.end} {err.span}") == (
+            "unsupported character '$'", "3-4 2:2"
+        )
+
+
+# Characters a mutation inserts: every token's first character, blanks,
+# a comment opener, and characters the lexer rejects or reads oddly.
+_MUTATION_ALPHABET = "(){},;*#@^?!&+._-o/ \n\t\r0123456789xlrtnsatoshibtc$²١"
+
+
+def _mutants(text, rng, count):
+    """``count`` variants of ``text``, each with one random edit: a deleted,
+    inserted or replaced character, a repeated slice, or a cut-off end."""
+    out = []
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randrange(1, 12))
+        edit = rng.randrange(5)
+        if edit == 0:
+            out.append(text[:i] + text[i + 1 :])
+        elif edit == 1:
+            out.append(text[:i] + rng.choice(_MUTATION_ALPHABET) + text[i:])
+        elif edit == 2:
+            out.append(text[:i] + rng.choice(_MUTATION_ALPHABET) + text[i + 1 :])
+        elif edit == 3:
+            out.append(text[:j] + text[i:])
+        else:
+            out.append(text[:i])
+    return out
+
+
+def _pinned_scripts(count=150, seed=808):
+    """Generated scripts with their type headers, as the bench writes them,
+    each followed by four mutants of itself."""
+    rng = random.Random(seed)
+    generator = ProgramGenerator(seed=seed)
+    for _ in range(count):
+        generated = generator.typed_program()
+        types = ", ".join(parser.render(t) for t in generated.declared)
+        text = f"-- types: {types}\n{parser.render(generated.program)}\n"
+        yield text
+        yield from _mutants(text, rng, 4)
+
+
+def _parse_outcome(text):
+    """The AST and declared types with every node's span, or the error's
+    class, kind, message, span and expected token kinds."""
+    try:
+        program, declared = parser.parse_script(text)
+    except ParseError as err:
+        span = "-" if err.span is None else f"{err.span.begin}-{err.span.end} {err.span}"
+        return ("error", type(err).__name__, err.kind, err.message, span, sorted(err.expected))
+    return (
+        "ok",
+        repr(program),
+        repr(declared),
+        _span_list(program),
+        [_span_list(t) for t in declared or ()],
+    )
+
+
+class TestPinnedParse:
+    """Parser output pinned by a digest recorded before tokens became
+    tuples: the AST, every node's span, and every error's class, kind,
+    message and span, over generated scripts and mutants of them."""
+
+    def test_generated_and_mutated_scripts_digest(self):
+        digest = hashlib.sha256()
+        outcomes = Counter()
+        for text in _pinned_scripts():
+            outcome = _parse_outcome(text)
+            outcomes[outcome[0]] += 1
+            digest.update(repr(outcome).encode())
+        assert outcomes == {"ok": 305, "error": 445}
+        assert digest.hexdigest() == (
+            "00fbe927fe4388b935b24474af2b4e84187677ea4f3a2c09e2b408bf8cb0d19e"
+        )

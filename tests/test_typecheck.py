@@ -226,6 +226,50 @@ class TestDerivationReplay:
         assert not tc.replay(bad)
 
 
+class TestDerivationOnFirstRead:
+    """``check`` builds the derivation tree when it is first read."""
+
+    def test_read_twice_is_one_object(self):
+        judgment = check_src("(addr1 * addr2){ txn(addr1, satoshi); txn(addr2, satoshi) }",
+                             "satoshi * satoshi")
+        first = judgment.derivation
+        assert isinstance(first, tc.Derivation)
+        assert judgment.derivation is first
+
+    def test_read_after_other_checks_is_the_same_tree(self):
+        generator = ProgramGenerator(seed=77)
+        programs = [generator.typed_program() for _ in range(40)]
+        unread = [tc.check(g.program, g.declared) for g in programs]
+        for g in programs:  # more checks, each with its own unifier
+            tc.check(g.program, g.declared).derivation
+        for g, judgment in zip(programs, unread):
+            fresh = tc.check(g.program, g.declared)
+            assert judgment.derivation == fresh.derivation
+            assert tc.replay(judgment)
+
+    def test_equality_hash_and_repr_see_the_tree(self):
+        source, types = "(x){ txn(x, satoshi) }", "satoshi"
+        left, right = check_src(source, types), check_src(source, types)
+        assert left == right and hash(left) == hash(right)
+        assert "Derivation(rule='Program'" in repr(check_src(source, types))
+        assert left != tc.TypedJudgment(left.program, left.interface_types, None)
+
+    def test_hand_built_judgment_replays(self):
+        program = parser.parse_program("(x){ txn(x, satoshi) }")
+        x, coin = program.pending[0].left, program.pending[0].right
+        derivation = tc.Derivation("Program", program, None, (
+            tc.Derivation("Axiom", program.interface[0], sx.Atom("satoshi")),
+            tc.Derivation("Cut", program.pending[0], sx.Atom("satoshi", True), (
+                tc.Derivation("Axiom", x, sx.Atom("satoshi", True)),
+                tc.Derivation("Literal", coin, sx.Atom("satoshi")),
+            )),
+        ))
+        judgment = tc.TypedJudgment(program, (sx.Atom("satoshi"),), derivation)
+        assert judgment.derivation is derivation
+        assert tc.replay(judgment)
+        assert judgment == check_src("(x){ txn(x, satoshi) }", "satoshi")
+
+
 class TestDeclaredTypes:
     def test_arity_mismatch(self):
         with pytest.raises(TypeMismatchError):
