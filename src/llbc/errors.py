@@ -22,8 +22,9 @@ class ParseError(LlbcError):
 
 
 class LimitError(ParseError):
-    """Input nested deeper than the parser (``parser.MAX_NESTING``) or the
-    chain loader (``chains.MAX_JSON_NESTING``) allows."""
+    """Input past a documented limit: nested deeper than the parser
+    (``parser.MAX_NESTING``) or the chain loader (``chains.MAX_JSON_NESTING``)
+    allows, or with more ``N . unit`` literals (``parser.MAX_LITERALS``)."""
 
     kind = "limit"
 

@@ -141,6 +141,11 @@ _OP_OF_NODE = {
 # six parser frames per level keep this far inside the recursion limit.
 MAX_NESTING = 100
 
+# How many unit literals the ``N . unit`` forms of one parse may expand to
+# in all. Each literal is a node, so an unbounded ``N`` could exhaust time
+# and memory before anything else sees the program.
+MAX_LITERALS = 100000
+
 # A sort is named by its constructor column in ``_Op``.
 _EXPR = "expr"
 _TYPE = "type"
@@ -160,6 +165,7 @@ class _Parser:
         self.pos = 0
         self.units = units
         self.depth = 0
+        self.literals = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -326,9 +332,15 @@ class _Parser:
 
     def unit_chain(self) -> sx.Expression:
         tok = self.expect("INT")
-        count = int(tok[TEXT])
+        try:
+            count = int(tok[TEXT])
+        except ValueError:  # more digits than ``int`` converts, so far past the limit
+            count = MAX_LITERALS + 1
         if count < 1:
             raise ParseError("unit multiplier must be positive", _span(tok))
+        self.literals += count
+        if self.literals > MAX_LITERALS:
+            raise LimitError(f"unit literals expand to more than {MAX_LITERALS} units", _span(tok))
         self.expect("DOT")
         unit_tok = self.expect("IDENT")
         unit = unit_tok[TEXT]

@@ -1,31 +1,36 @@
 """Small-step execution of pending transactions.
 
 The machine rewrites the pending list of a program; the interface never
-changes. Seven rules fire on transactions:
+changes. A pending transaction is a cut, and each rule eliminates one.
+The kinds of a transaction's two sides, in either order, fix the local
+rule that fires on it: ``_LOCAL`` has one entry per pair of kinds.
 
-* ``Transaction`` fuses two transactions joined by a mediating address.
 * ``Pair`` splits an isolation cut against a connection into two cuts.
 * ``Left``/``Right`` open a menu with the branch a selection picked,
   inlining the branch's own transactions and wiring its context to the
-  menu's bound addresses.
+  menu's binders; the other branch's units are discarded.
 * ``Read`` opens a replication box against a storage request, likewise
   keeping the body's in-flight transactions.
-* ``Dispose`` drops a replication box, disposing its bound context.
+* ``Dispose`` drops a replication box, disposing its bound context and
+  burning its units.
 * ``Copy`` duplicates a replication box against a contraction, renaming
-  the two copies with left/right freshness marks.
+  the copies with left/right freshness marks; its units are duplicated.
 
-A transaction joins its two sides symmetrically, so every rule matches
-with the sides in either order. ``normalize`` always fires the leftmost
-redex (ties broken in the rule order above), so it is a pure function of
-its input. Fuel bounds the run; well-typed programs always finish within
-it or the type checker was wrong.
+The opening rules fire only when the box's context binders line up with
+its branches. ``Transaction`` fuses two transactions over a mediating
+address that is a whole side of both, when its two occurrences are those
+sides or one of the two is a self-loop ``txn(x, x)`` (``_fusable``). The
+mediator is the first whole side of the left one that the right one has.
+
+``normalize`` always fires the leftmost redex (ties broken in
+``RULE_ORDER``), so it is a pure function of its input. Fuel bounds the
+run; well-typed programs always finish within it or the type checker was
+wrong.
 
 ``find_redexes`` and ``step`` are the reference one-step interface: each
 call looks at the whole program. ``normalize`` instead keeps an
-incremental redex index (see ``_RedexIndex``) and, after each step, looks
-only at the transactions the step produced and the addresses whose
-occurrence count it changed. It fires the same redexes in the same
-leftmost order, so its ``--trace`` lines are byte-identical to a
+incremental redex index (``_RedexIndex``) and fires the same redexes in
+the same order, so its ``--trace`` lines are byte-identical to a
 ``find_redexes(p)[0]``/``step`` loop. Untraced, the cost per step grows
 only logarithmically with the length of the pending list.
 """
@@ -34,15 +39,162 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from itertools import count
+from itertools import combinations, count
 
 from . import syntax as sx
 from .errors import FuelExhausted, NotInLedgerForm
 from .parser import render
 
-RULE_ORDER = ("Transaction", "Pair", "Left", "Right", "Read", "Dispose", "Copy")
+
+class StepEffect:
+    """Unit accounting: literals burned with a disposed box, discarded with
+    an unselected branch, or duplicated by a copy."""
+
+    __slots__ = ("burned", "discarded", "duplicated")
+
+    def __init__(self):
+        self.burned, self.discarded, self.duplicated = Counter(), Counter(), Counter()
+
+
+# ---------------------------------------------------------------------------
+# The local rules
+
+class _Rule(sx.Node):
+    """A local rule: its name; whether the box's context binders must line
+    up; ``residue(head, other)``, the transactions that replace the cut;
+    and the :class:`StepEffect` field, ``account``, that takes the units of
+    the head's field ``part``."""
+
+    __slots__ = dict.fromkeys("name aligned residue account part".split(), sx.DATA)
+    DEFAULTS = {"account": None, "part": None}
+
+
+def _split(iso: sx.Iso, conn: sx.Conn) -> list[sx.Transaction]:
+    return [sx.Transaction(iso.left, conn.left), sx.Transaction(iso.right, conn.right)]
+
+
+def _open(box, branch: sx.Program, other: sx.Expression) -> list[sx.Transaction]:
+    """``branch`` (a menu branch or a box body) cut against what ``other``
+    carries, then its own transactions, then its context joined to the
+    box's binders."""
+    binders = sx.context_binders(box)
+    return [
+        sx.Transaction(branch.interface[0], other.inner),
+        *branch.pending,
+        *(sx.Transaction(sx.Addr(x), e) for x, e in zip(binders, branch.interface[1:])),
+    ]
+
+
+def _dispose(box: sx.Bang, _) -> list[sx.Transaction]:
+    return [sx.Transaction(sx.Addr(x), sx.Dispose()) for x in box.bound]
+
+
+def _copy(box: sx.Bang, contract: sx.Contract) -> list[sx.Transaction]:
+    residue = [
+        sx.Transaction(
+            sx.Addr(x), sx.Contract(sx.Addr(x.extended(sx.LEFT)), sx.Addr(x.extended(sx.RIGHT)))
+        )
+        for x in box.bound
+    ]
+    residue.append(sx.Transaction(sx.rename(box, sx.LEFT), contract.left))
+    residue.append(sx.Transaction(sx.rename(box, sx.RIGHT), contract.right))
+    return residue
+
+
+# Keyed by the kinds of the head (the isolation or the box) and the other side.
+_LOCAL = {
+    (sx.Iso, sx.Conn): _Rule("Pair", False, _split),
+    (sx.Choose, sx.Inl): _Rule(
+        "Left", True, lambda menu, inl: _open(menu, menu.left, inl), "discarded", "right"
+    ),
+    (sx.Choose, sx.Inr): _Rule(
+        "Right", True, lambda menu, inr: _open(menu, menu.right, inr), "discarded", "left"
+    ),
+    (sx.Bang, sx.Store): _Rule("Read", True, lambda box, store: _open(box, box.body, store)),
+    (sx.Bang, sx.Dispose): _Rule("Dispose", False, _dispose, "burned", "body"),
+    (sx.Bang, sx.Contract): _Rule("Copy", False, _copy, "duplicated", "body"),
+}
+
+RULE_ORDER = ("Transaction", *(rule.name for rule in _LOCAL.values()))
 _PRIORITY = {name: i for i, name in enumerate(RULE_ORDER)}
 
+
+def _match_local(txn: sx.Transaction):
+    """``(rule, head, other)`` for the local rule that fires on ``txn``,
+    trying both orientations; None if there is none."""
+    for head, other in ((txn.left, txn.right), (txn.right, txn.left)):
+        rule = _LOCAL.get((type(head), type(other)))
+        if rule is not None and not (rule.aligned and sx.context_binders(head) is None):
+            return rule, head, other
+    return None
+
+
+def _rewrite(match, effect: StepEffect) -> list[sx.Transaction]:
+    """Fire a ``_match_local`` match: the transactions that replace the
+    cut, in pending order. The units the rule moves are added to
+    ``effect``."""
+    rule, head, other = match
+    if rule.account is not None:
+        getattr(effect, rule.account).update(sx.unit_multiset(getattr(head, rule.part)))
+    return rule.residue(head, other)
+
+
+# ---------------------------------------------------------------------------
+# The Transaction rule
+
+def _bare(txn: sx.Transaction) -> tuple[sx.Address, ...]:
+    """The addresses that are a whole side of ``txn``, left side first."""
+    return tuple(side.address for side in (txn.left, txn.right) if type(side) is sx.Addr)
+
+
+def _fusable(bi: tuple, bj: tuple, address: sx.Address, occurrences: int) -> bool:
+    """Whether two transactions with whole sides ``bi`` and ``bj`` (see
+    ``_bare``), both holding ``address``, may fuse over it, given its
+    surface-occurrence count. The mediator's two occurrences being those
+    two whole sides is what linearity gives on typed programs; a self-loop
+    ``txn(x, x)`` arises when a spend deliberately re-uses an address for a
+    coin that stays put."""
+    return (
+        (len(bi) == 2 and bi[0] == bi[1])
+        or (len(bj) == 2 and bj[0] == bj[1])
+        or (occurrences == 2 and bi.count(address) + bj.count(address) == 2)
+    )
+
+
+def _fuse(ti: sx.Transaction, tj: sx.Transaction, bi: tuple, bj: tuple):
+    """``ti`` and ``tj``, with whole sides ``bi`` and ``bj``, joined over
+    the first of ``bi`` that is in ``bj``; None when they share none."""
+    mediator = next((address for address in bi if address in bj), None)
+    if mediator is None:
+        return None
+
+    def other(txn):
+        right = txn.right
+        return txn.left if type(right) is sx.Addr and right.address == mediator else right
+
+    return sx.Transaction(other(ti), other(tj))
+
+
+def _mediator_pairs(p: sx.Program):
+    """Eligible (i, j) pairs for the Transaction rule (see ``_fusable``)."""
+    occurrences: dict[sx.Address, int] = {}
+    for address, _ in sx.surface_occurrences(p):
+        occurrences[address] = occurrences.get(address, 0) + 1
+    bare = [_bare(txn) for txn in p.pending]
+    holders: dict[sx.Address, set[int]] = {}
+    for i, sides in enumerate(bare):
+        for address in sides:
+            holders.setdefault(address, set()).add(i)
+    return {
+        (i, j)
+        for address, where in holders.items()
+        for i, j in combinations(sorted(where), 2)
+        if _fusable(bare[i], bare[j], address, occurrences.get(address, 0))
+    }
+
+
+# ---------------------------------------------------------------------------
+# One step at a time
 
 class Redex(sx.Node):
     """A rule match: its kind, the pending index it fires at, and, for the
@@ -55,216 +207,36 @@ class Redex(sx.Node):
         return (self.pos, _PRIORITY[self.kind], -1 if self.partner is None else self.partner)
 
 
-# ---------------------------------------------------------------------------
-# Matching
-
-def _oriented(txn: sx.Transaction):
-    """Yield (box-or-left, other, flipped) in both orientations."""
-    yield txn.left, txn.right, False
-    yield txn.right, txn.left, True
-
-
-_OPENING_RULE = {sx.Inl: "Left", sx.Inr: "Right", sx.Store: "Read"}
-
-
-def _match_local(txn: sx.Transaction) -> tuple[str, bool] | None:
-    for head, other, flipped in _oriented(txn):
-        match head, other:
-            case (sx.Iso(), sx.Conn()):
-                return ("Pair", flipped)
-            case (sx.Choose(), sx.Inl() | sx.Inr()) | (sx.Bang(), sx.Store()):
-                if sx.context_binders(head) is not None:
-                    return (_OPENING_RULE[type(other)], flipped)
-            case (sx.Bang(), sx.Dispose()):
-                return ("Dispose", flipped)
-            case (sx.Bang(), sx.Contract()):
-                return ("Copy", flipped)
-    return None
-
-
-def _is_loop(txn: sx.Transaction) -> bool:
-    return (
-        isinstance(txn.left, sx.Addr)
-        and isinstance(txn.right, sx.Addr)
-        and txn.left.address == txn.right.address
-    )
-
-
-def _bare_sides(txn: sx.Transaction, address: sx.Address) -> int:
-    count = 0
-    if isinstance(txn.left, sx.Addr) and txn.left.address == address:
-        count += 1
-    if isinstance(txn.right, sx.Addr) and txn.right.address == address:
-        count += 1
-    return count
-
-
-def _whole_sides(txn: sx.Transaction) -> set[sx.Address]:
-    """The addresses that are a whole side of ``txn``."""
-    return {side.address for side in (txn.left, txn.right) if isinstance(side, sx.Addr)}
-
-
-def _fusable(
-    ti: sx.Transaction, tj: sx.Transaction, address: sx.Address, occurrences: int
-) -> bool:
-    """Whether two transactions that both have ``address`` as a whole side
-    may fuse over it, given its surface-occurrence count.
-
-    The mediator must either account for both of its occurrences as whole
-    sides of the two transactions, or one of the two transactions is a
-    self-loop ``txn(x, x)`` being absorbed into the other. The first
-    condition is what linearity gives on typed programs; the second arises
-    when a spend deliberately re-uses an address for a coin that stays put.
-    """
-    return (
-        _is_loop(ti)
-        or _is_loop(tj)
-        or (occurrences == 2 and _bare_sides(ti, address) + _bare_sides(tj, address) == 2)
-    )
-
-
-def _mediator_pairs(p: sx.Program):
-    """Eligible (i, j) pairs for the Transaction rule (see ``_fusable``)."""
-    occurrences: dict[sx.Address, int] = {}
-    for address, _ in sx.surface_occurrences(p):
-        occurrences[address] = occurrences.get(address, 0) + 1
-    sides: dict[sx.Address, list[int]] = {}
-    for i, txn in enumerate(p.pending):
-        for side in (txn.left, txn.right):
-            if isinstance(side, sx.Addr):
-                sides.setdefault(side.address, []).append(i)
-    pairs: set[tuple[int, int]] = set()
-    for address, where in sides.items():
-        indices = sorted(set(where))
-        if len(indices) < 2:
-            continue
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                i, j = indices[a], indices[b]
-                if _fusable(p.pending[i], p.pending[j], address, occurrences.get(address, 0)):
-                    pairs.add((i, j))
-    return pairs
-
-
 def find_redexes(p: sx.Program) -> list[Redex]:
     """Every position where a rule can fire, in the deterministic order
     ``normalize`` uses."""
     out = []
     for i, txn in enumerate(p.pending):
-        matched = _match_local(txn)
-        if matched is not None:
-            out.append(Redex(matched[0], i))
-    for i, j in _mediator_pairs(p):
-        out.append(Redex("Transaction", i, j))
+        match = _match_local(txn)
+        if match is not None:
+            out.append(Redex(match[0].name, i))
+    out.extend(Redex("Transaction", i, j) for i, j in _mediator_pairs(p))
     out.sort(key=Redex.sort_key)
     return out
 
 
-# ---------------------------------------------------------------------------
-# Stepping
-
-class StepEffect:
-    """Unit accounting for one step: literals burned with a disposed box,
-    discarded with an unselected branch, or duplicated by a copy."""
-
-    __slots__ = ("burned", "discarded", "duplicated")
-
-    def __init__(self):
-        self.burned, self.discarded, self.duplicated = Counter(), Counter(), Counter()
-
-
-def _fuse(ti: sx.Transaction, tj: sx.Transaction, address: sx.Address) -> sx.Transaction:
-    def other(txn):
-        if _is_loop(txn):
-            return txn.left
-        if isinstance(txn.left, sx.Addr) and txn.left.address == address:
-            return txn.right
-        return txn.left
-
-    return sx.Transaction(other(ti), other(tj))
-
-
-def _mediator_of(ti: sx.Transaction, tj: sx.Transaction) -> sx.Address | None:
-    for side in (ti.left, ti.right):
-        if isinstance(side, sx.Addr) and _bare_sides(tj, side.address):
-            return side.address
-    return None
-
-
-def _rewrite(
-    kind: str, txn: sx.Transaction, partner: sx.Transaction | None = None
-) -> tuple[list[sx.Transaction], StepEffect]:
-    """Fire rule ``kind`` on ``txn`` (fused with ``partner`` for the
-    Transaction rule): the transactions that take their place, in pending
-    order, and the step's unit accounting. The caller has checked that the
-    rule matches."""
-    effect = StepEffect()
-    if kind == "Transaction":
-        return [_fuse(txn, partner, _mediator_of(txn, partner))], effect
-
-    flipped = _match_local(txn)[1]
-    head = txn.right if flipped else txn.left
-    other = txn.left if flipped else txn.right
-
-    if kind == "Pair":
-        residue = [
-            sx.Transaction(head.left, other.left),
-            sx.Transaction(head.right, other.right),
-        ]
-    elif kind in ("Left", "Right"):
-        branch = head.left if kind == "Left" else head.right
-        dropped = head.right if kind == "Left" else head.left
-        residue = [sx.Transaction(branch.interface[0], other.inner)]
-        residue.extend(branch.pending)
-        residue.extend(
-            sx.Transaction(sx.Addr(x), e)
-            for x, e in zip(sx.context_binders(head), branch.interface[1:])
-        )
-        effect.discarded.update(sx.unit_multiset(dropped))
-    elif kind == "Read":
-        body = head.body
-        residue = [sx.Transaction(body.interface[0], other.inner)]
-        residue.extend(body.pending)
-        residue.extend(
-            sx.Transaction(sx.Addr(x), e) for x, e in zip(head.bound, body.interface[1:])
-        )
-    elif kind == "Dispose":
-        residue = [sx.Transaction(sx.Addr(x), sx.Dispose()) for x in head.bound]
-        effect.burned.update(sx.unit_multiset(head.body))
-    elif kind == "Copy":
-        left_box = sx.rename(head, sx.LEFT)
-        right_box = sx.rename(head, sx.RIGHT)
-        residue = [
-            sx.Transaction(
-                sx.Addr(x),
-                sx.Contract(sx.Addr(x.extended(sx.LEFT)), sx.Addr(x.extended(sx.RIGHT))),
-            )
-            for x in head.bound
-        ]
-        residue.append(sx.Transaction(left_box, other.left))
-        residue.append(sx.Transaction(right_box, other.right))
-        effect.duplicated.update(sx.unit_multiset(head.body))
-    else:
-        raise ValueError(f"unknown rule {kind}")
-    return residue, effect
-
-
 def step_with_effect(p: sx.Program, r: Redex) -> tuple[sx.Program, StepEffect]:
     pending = list(p.pending)
+    effect = StepEffect()
     if r.kind == "Transaction":
         if r.partner is None or not (0 <= r.pos < r.partner < len(pending)):
             raise ValueError(f"not a Transaction redex of {render(p)}: {r}")
         ti, tj = pending[r.pos], pending[r.partner]
-        if _mediator_of(ti, tj) is None:
+        fused = _fuse(ti, tj, _bare(ti), _bare(tj))
+        if fused is None:
             raise ValueError(f"transactions {r.pos} and {r.partner} share no mediator")
-        residue, effect = _rewrite(r.kind, ti, tj)
+        residue = [fused]
         del pending[r.partner]
     else:
-        txn = pending[r.pos]
-        matched = _match_local(txn)
-        if matched is None or matched[0] != r.kind:
-            raise ValueError(f"redex {r} does not match {render(txn)}")
-        residue, effect = _rewrite(r.kind, txn)
+        match = _match_local(pending[r.pos])
+        if match is None or match[0].name != r.kind:
+            raise ValueError(f"redex {r} does not match {render(pending[r.pos])}")
+        residue = _rewrite(match, effect)
     pending[r.pos : r.pos + 1] = residue
     return sx.Program(p.interface, tuple(pending), span=p.span), effect
 
@@ -303,26 +275,30 @@ class _RedexIndex:
     are ranks among the live labels, computed only for a trace line or a
     program.
 
-    ``occurrences`` counts surface occurrences per address over the
-    interface and the pending list, and ``bare`` holds, per address, the
-    labels of the transactions that have it as a whole side. Together they
-    decide the Transaction rule (``_fusable``).
+    ``sides`` holds each live label's ``_bare`` tuple, taken once when its
+    transaction enters, and ``bare`` the labels holding each address as a
+    whole side. With ``occurrences``, the surface-occurrence count per
+    address over the interface and the pending list, they decide the
+    Transaction rule (``_fusable``).
 
     ``heap`` holds candidate redexes keyed ``(label, rule priority,
-    partner label)``, the order of ``Redex.sort_key``. An entry is checked
-    only when it reaches the top, and dropped if one of its transactions is
-    gone or its mediator's count has moved. Every redex of the current
-    program has an entry: a redex depends only on its transactions and on
-    its mediator's count, and each step re-examines the transactions it
-    produced and the addresses whose count it changed.
+    partner label)``, the order of ``Redex.sort_key``. A local entry
+    carries its ``_match_local`` match; a pair entry carries its partner
+    and the address it was queued under. An entry is checked only when it
+    reaches the top, and dropped if one of its transactions is gone or its
+    mediator's count has moved. Every redex of the current program has an
+    entry: a redex depends only on its transactions and on its mediator's
+    count, and each step re-examines the transactions it produced and the
+    addresses whose count it changed.
     """
 
     def __init__(self, p: sx.Program):
         self.interface = p.interface
         self.span = p.span
         self.live: dict[tuple[int, ...], sx.Transaction] = {}
-        self.occurrences: dict[sx.Address, int] = {}
+        self.sides: dict[tuple[int, ...], tuple[sx.Address, ...]] = {}
         self.bare: dict[sx.Address, set[tuple[int, ...]]] = {}
+        self.occurrences: dict[sx.Address, int] = {}
         self.heap: list = []
         self.tiebreak = count()
         for entry in p.interface:
@@ -332,15 +308,13 @@ class _RedexIndex:
 
     def leftmost(self):
         """The heap entry of the leftmost redex, or None in normal form."""
-        heap, live = self.heap, self.live
+        heap, live, sides, occurrences = self.heap, self.live, self.sides, self.occurrences
         while heap:
-            label, _, partner_label, _, txn, partner, address = heap[0]
+            label, _, other, _, txn, partner, address = heap[0]
             if live.get(label) is txn and (
                 partner is None
-                or (
-                    live.get(partner_label) is partner
-                    and _fusable(txn, partner, address, self.occurrences.get(address, 0))
-                )
+                or live.get(other) is partner
+                and _fusable(sides[label], sides[other], address, occurrences.get(address, 0))
             ):
                 return heap[0]
             heapq.heappop(heap)
@@ -353,16 +327,16 @@ class _RedexIndex:
         partner_pos = None if partner is None else bisect_left(order, partner_label)
         return Redex(RULE_ORDER[priority], bisect_left(order, label), partner_pos)
 
-    def fire(self, entry) -> StepEffect:
-        """Fire the entry ``leftmost`` returned."""
+    def fire(self, entry, effect: StepEffect) -> None:
+        """Fire the entry ``leftmost`` returned; its units go to ``effect``."""
         heapq.heappop(self.heap)
-        label, priority, partner_label, _, txn, partner, _ = entry
-        residue, effect = _rewrite(RULE_ORDER[priority], txn, partner)
+        label, _, other, _, txn, partner, match = entry
         if partner is None:
+            residue = _rewrite(match, effect)
             self._replace([(label, txn)], [(label + (k,), t) for k, t in enumerate(residue)])
         else:
-            self._replace([(label, txn), (partner_label, partner)], [(label, residue[0])])
-        return effect
+            fused = _fuse(txn, partner, self.sides[label], self.sides[other])
+            self._replace([(label, txn), (other, partner)], [(label, fused)])
 
     def program(self) -> sx.Program:
         pending = tuple(self.live[label] for label in sorted(self.live))
@@ -371,14 +345,15 @@ class _RedexIndex:
     def _replace(self, removed, added):
         """Swap the ``removed`` (label, transaction) pairs for the ``added``
         ones, then queue every redex that may have appeared."""
-        live, bare, occurrences = self.live, self.bare, self.occurrences
-        for label, txn in removed:
+        live, sides, bare, occurrences = self.live, self.sides, self.bare, self.occurrences
+        for label, _ in removed:
             del live[label]
-            for address in _whole_sides(txn):
+            for address in sides.pop(label):
                 bare[address].discard(label)
         for label, txn in added:
             live[label] = txn
-            for address in _whole_sides(txn):
+            sides[label] = whole = _bare(txn)
+            for address in whole:
                 bare.setdefault(address, set()).add(label)
 
         # Occurrence counts change only by the sides that are not carried
@@ -403,29 +378,26 @@ class _RedexIndex:
 
         fresh = {label for label, _ in added}
         for label, txn in added:
-            matched = _match_local(txn)
-            if matched is not None:
-                heapq.heappush(
-                    self.heap,
-                    (label, _PRIORITY[matched[0]], (), next(self.tiebreak), txn, None, None),
-                )
-            for address in _whole_sides(txn):
+            match = _match_local(txn)
+            if match is not None:
+                key = (label, _PRIORITY[match[0].name], (), next(self.tiebreak))
+                heapq.heappush(self.heap, (*key, txn, None, match))
+            for address in sides[label]:
                 for other in bare[address]:
                     # Pairs of two fresh transactions are queued once.
                     if other != label and not (other in fresh and other < label):
                         self._queue_pair(address, label, other)
         for address in changed:
             stale = [label for label in bare.get(address, ()) if label not in fresh]
-            for a in range(len(stale)):
-                for b in range(a + 1, len(stale)):
-                    self._queue_pair(address, stale[a], stale[b])
+            for label, other in combinations(stale, 2):
+                self._queue_pair(address, label, other)
 
     def _queue_pair(self, address, label, other):
         if other < label:
             label, other = other, label
-        ti, tj = self.live[label], self.live[other]
-        if _fusable(ti, tj, address, self.occurrences.get(address, 0)):
-            heapq.heappush(self.heap, (label, 0, other, next(self.tiebreak), ti, tj, address))
+        if _fusable(self.sides[label], self.sides[other], address, self.occurrences.get(address, 0)):
+            key = (label, 0, other, next(self.tiebreak))
+            heapq.heappush(self.heap, (*key, self.live[label], self.live[other], address))
 
 
 def normalize(
@@ -441,28 +413,17 @@ def normalize(
     index = _RedexIndex(p)
     steps = 0
     lines: list[TraceStep] = []
-    burned: Counter = Counter()
-    discarded: Counter = Counter()
-    duplicated: Counter = Counter()
+    effect = StepEffect()
     while True:
         entry = index.leftmost()
         if entry is None:
-            return NormalizeResult(
-                index.program(),
-                steps,
-                tuple(lines) if trace else None,
-                burned,
-                discarded,
-                duplicated,
-            )
+            accounts = (effect.burned, effect.discarded, effect.duplicated)
+            return NormalizeResult(index.program(), steps, tuple(lines) if trace else None, *accounts)
         if steps >= fuel:
             raise FuelExhausted(index.program(), steps)
         redex = index.redex(entry) if trace else None
-        effect = index.fire(entry)
+        index.fire(entry, effect)
         steps += 1
-        burned.update(effect.burned)
-        discarded.update(effect.discarded)
-        duplicated.update(effect.duplicated)
         if trace:
             lines.append(TraceStep(steps, redex, index.program()))
 
@@ -537,25 +498,15 @@ def readback_ledger(p: sx.Program) -> Ledger:
         return trees[key]
 
     for i, txn in enumerate(p.pending):
-        done = False
-        for head, other, _flipped in _oriented(txn):
-            if isinstance(head, sx.Addr):
-                if isinstance(other, sx.Dispose):
-                    balances[head.address]  # an empty balance
-                    done = True
-                    break
-                units = unit_tree(other)
-                if units is not None:
-                    balances[head.address].update(units)
-                    done = True
-                    break
-            elif isinstance(head, sx.Dispose):
-                units = unit_tree(other)
-                if units is not None:
-                    burned.update(units)
-                    done = True
-                    break
-        if not done:
+        for head, other in ((txn.left, txn.right), (txn.right, txn.left)):
+            if isinstance(head, sx.Addr) and isinstance(other, sx.Dispose):
+                balances[head.address]  # an empty balance
+                break
+            units = unit_tree(other) if isinstance(head, (sx.Addr, sx.Dispose)) else None
+            if units is not None:
+                (balances[head.address] if isinstance(head, sx.Addr) else burned).update(units)
+                break
+        else:
             raise NotInLedgerForm(i, txn)
     return Ledger(
         tuple(

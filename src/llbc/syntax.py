@@ -12,11 +12,11 @@ Everything in this module is an immutable value; all operations are pure.
 from __future__ import annotations
 
 import functools
-import re
 from collections import Counter
 from typing import Iterator
 
 from .errors import DualityError
+from .units import NAME_RE
 
 # ---------------------------------------------------------------------------
 # Immutable nodes
@@ -212,8 +212,6 @@ class SourceSpan(Node):
 # ---------------------------------------------------------------------------
 # Addresses
 
-_NAME_RE = re.compile(r"(?!\d+$)[A-Za-z0-9_]+\Z")
-
 LEFT = "l"
 RIGHT = "r"
 _SIDES = (LEFT, RIGHT)
@@ -230,7 +228,7 @@ class Address(Node, order=True):
     DEFAULTS = {"path": ()}
 
     def _check(self):
-        if not _NAME_RE.match(self.name):
+        if not NAME_RE.match(self.name):
             raise ValueError(f"invalid address name: {self.name!r}")
         if any(side not in _SIDES for side in self.path):
             raise ValueError(f"invalid freshness path: {self.path!r}")
@@ -610,103 +608,116 @@ def unit_multiset(value) -> Counter:
 # Alpha equivalence (equality modulo a bijective relabelling of freshness
 # paths; base names must agree)
 
-class _Bijection:
-    def __init__(self):
-        self.fwd: dict[Address, Address] = {}
-        self.bwd: dict[Address, Address] = {}
-
-    def match(self, a: Address, b: Address) -> bool:
-        if a.name != b.name:
-            return False
-        if a in self.fwd:
-            return self.fwd[a] == b and self.bwd.get(b) == a
-        if b in self.bwd:
-            return False
-        self.fwd[a] = b
-        self.bwd[b] = a
-        return True
-
-    def snapshot(self):
-        return dict(self.fwd), dict(self.bwd)
-
-    def restore(self, saved):
-        self.fwd, self.bwd = saved
-
-
-def _alpha(a, b, bij: _Bijection) -> bool:
-    """Same kind, same data (addresses through ``bij``), alike children.
-    Transactions may match in either orientation, and pending lists as
-    multisets."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is Addr:
-        return bij.match(a.address, b.address)
-    if type(a) is Transaction:
-        # A transaction joins two resources symmetrically; reduction
-        # orders may fuse the same pair in either orientation.
-        saved = bij.snapshot()
-        if _alpha(a.left, b.left, bij) and _alpha(a.right, b.right, bij):
-            return True
-        bij.restore(saved)
-        return _alpha(a.left, b.right, bij) and _alpha(a.right, b.left, bij)
-    if type(a) is Choose or type(a) is Bang:
-        if len(a.bound) != len(b.bound):
-            return False
-        if not all(bij.match(x, y) for x, y in zip(a.bound, b.bound)):
-            return False
-    if type(a) is Program:
-        if len(a.interface) != len(b.interface) or len(a.pending) != len(b.pending):
-            return False
-        return all(_alpha(x, y, bij) for x, y in zip(a.interface, b.interface)) and (
-            _alpha_pending(list(a.pending), list(b.pending), bij)
-        )
-    kids = children(a)
-    if not kids:
-        return a == b  # units and disposals
-    return all(_alpha(x, y, bij) for x, y in zip(kids, children(b)))
-
-
-def _erase_key(value) -> str:
-    """A path-insensitive structural key, used to prune pending matching."""
+def _erase_keys(value) -> dict[int, int]:
+    """A path-insensitive structural key for each transaction under
+    ``value``, by id. Alpha-equivalent transactions have equal keys, so
+    pending lists are matched only between transactions of one key."""
+    keys: dict[int, int] = {}
 
     def key(node, kids):
-        data = ""
-        if type(node) is Transaction:
-            kids = sorted(kids)
-        elif type(node) is Program:
+        kind, data = type(node), None
+        if kind is Transaction:
+            kids = tuple(sorted(kids))
+        elif kind is Program:
             width = len(node.interface)
-            kids = [*kids[:width], *sorted(kids[width:])]
-            data = str(width)
-        elif type(node) is Addr:
+            kids, data = (*kids[:width], *sorted(kids[width:])), width
+        elif kind is Addr:
             data = node.address.name
-        elif type(node) is Unit:
+        elif kind is Unit:
             data = node.unit
-        elif type(node) is Choose or type(node) is Bang:
-            data = ",".join(x.name for x in node.bound)
-        return f"{type(node).__name__}[{data}]({','.join(kids)})"
+        elif kind is Choose or kind is Bang:
+            data = tuple(x.name for x in node.bound)
+        result = hash((kind, data, kids))
+        if kind is Transaction:
+            keys[id(node)] = result
+        return result
 
-    return fold(value, key)
+    fold(value, key)
+    return keys
 
 
-def _alpha_pending(xs, ys, bij) -> bool:
-    # Fast path: positions line up.
-    saved = bij.snapshot()
-    if all(_alpha(x, y, bij) for x, y in zip(xs, ys)):
+def _relabelling(a: Program, b: Program) -> dict[Address, Address] | None:
+    """A bijection on addresses, preserving base names, that takes ``a`` to
+    ``b``; None if there is none.
+
+    A depth-first search on an explicit stack: ``goals`` is a linked list
+    of node pairs still to match, or of pending lists ``(xs, ys, start)``
+    of one key that match as multisets, where ``start`` is the first
+    candidate in ``ys`` for ``xs[0]``. ``choices`` holds the goals to
+    resume after a failure: the flipped orientation of a transaction, or
+    the next candidate. A match of ``xs[0]`` that binds nothing new leaves
+    the same state whichever way it went, so its choices are dropped: a
+    pending list of equal ground transactions is matched once, not in
+    every order.
+    """
+    keys = {**_erase_keys(a), **_erase_keys(b)}
+    fwd: dict[Address, Address] = {}
+    bwd: dict[Address, Address] = {}
+    trail: list[Address] = []
+    choices: list = []
+
+    def bind(x: Address, y: Address) -> bool:
+        if x in fwd:
+            return fwd[x] == y
+        if x.name != y.name or y in bwd:
+            return False
+        fwd[x], bwd[y] = y, x
+        trail.append(x)
         return True
-    bij.restore(saved)
-    # Otherwise treat the pending lists as multisets and backtrack.
-    if not xs:
-        return not ys
-    head, rest = xs[0], xs[1:]
-    key = _erase_key(head)
-    for i, candidate in enumerate(ys):
-        if _erase_key(candidate) != key:
+
+    goals = ((a, b), None)
+    while goals is not None:
+        goal, goals = goals
+        x, y = goal[0], goal[1]
+        if x is None:  # the end of a match of xs[0]; y is (choices, trail) before it
+            if len(trail) == y[1]:
+                del choices[y[0] :]
             continue
-        saved = bij.snapshot()
-        if _alpha(head, candidate, bij) and _alpha_pending(rest, ys[:i] + ys[i + 1 :], bij):
-            return True
-        bij.restore(saved)
-    return False
+        kind = type(x)
+        if kind is tuple:
+            if not x:
+                continue
+            want = keys[id(x[0])]
+            j = next((j for j in range(goal[2], len(y)) if keys[id(y[j])] == want), None)
+            ok = j is not None
+            if ok:
+                before = (len(choices), len(trail))
+                choices.append((((x, y, j + 1), goals), len(trail)))
+                goals = ((x[0], y[j]), ((None, before), ((x[1:], y[:j] + y[j + 1 :], 0), goals)))
+        elif kind is not type(y):
+            ok = False
+        elif kind is Addr:
+            ok = bind(x.address, y.address)
+        elif kind is Transaction:
+            choices.append((((x.left, y.right), ((x.right, y.left), goals)), len(trail)))
+            goals = ((x.left, y.left), ((x.right, y.right), goals))
+            continue
+        elif kind is Program:
+            ok = len(x.interface) == len(y.interface) and len(x.pending) == len(y.pending)
+            buckets: dict[int, tuple[list, list]] = {}
+            for txn in x.pending:
+                buckets.setdefault(keys[id(txn)], ([], []))[0].append(txn)
+            for txn in y.pending:
+                buckets.get(keys[id(txn)], ([], []))[1].append(txn)
+            ok = ok and all(len(xs) == len(ys) for xs, ys in buckets.values())
+            for xs, ys in reversed(buckets.values()):
+                goals = ((tuple(xs), tuple(ys), 0), goals)
+            for pair in reversed(tuple(zip(x.interface, y.interface))):
+                goals = (pair, goals)
+        else:
+            if kind is Choose or kind is Bang:
+                ok = len(x.bound) == len(y.bound) and all(map(bind, x.bound, y.bound))
+            else:
+                ok = x._key() == y._key()  # the data of units and the rest
+            for pair in reversed(tuple(zip(children(x), children(y)))):
+                goals = (pair, goals)
+        if not ok:
+            if not choices:
+                return None
+            goals, mark = choices.pop()
+            while len(trail) > mark:
+                del bwd[fwd.pop(trail.pop())]
+    return fwd
 
 
 def alpha_equivalent(a: Program, b: Program) -> bool:
@@ -714,6 +725,7 @@ def alpha_equivalent(a: Program, b: Program) -> bool:
 
     The interface is compared in order; pending transactions are compared as
     a multiset, since independent reduction orders may interleave residues
-    differently.
+    differently. Transactions match in either orientation. Iterative, and
+    the search backtracks over every choice it makes.
     """
-    return _alpha(a, b, _Bijection())
+    return _relabelling(a, b) is not None

@@ -110,10 +110,9 @@ class _Unifier:
     other nodes are ground syntax and never walked for them.
     """
 
-    def __init__(self, default_unit: str):
+    def __init__(self):
         self.link: dict[int, tuple] = {}
         self.created: list[int] = []
-        self.default_unit = default_unit
         self._hidden = 0
         self._open: set[int] = set()  # ids of the nodes made by ``shaped``
 
@@ -257,7 +256,7 @@ class _Unifier:
 
     def default_leftovers(self):
         """Bind every still-free variable to the default currency atom."""
-        fallback = sx.Atom(self.default_unit)
+        fallback = sx.Atom(DEFAULT_UNIT)
         for var_id in self.created:
             if var_id not in self.link:
                 self.link[var_id] = (fallback, False)
@@ -498,18 +497,13 @@ class _Scope:
 # ---------------------------------------------------------------------------
 # Public API
 
-def check(
-    program: sx.Program,
-    declared,
-    *,
-    default_unit: str = DEFAULT_UNIT,
-) -> TypedJudgment:
+def check(program: sx.Program, declared) -> TypedJudgment:
     """Check ``program`` against the declared interface types.
 
     Raises a :class:`TypeCheckError` subclass when no derivation exists.
     Linear in the size of the program and its declared types.
     """
-    unifier = _Unifier(default_unit)
+    unifier = _Unifier()
     scope = _Scope(program, list(declared), unifier)
     try:
         types, derivation = scope.run()
@@ -573,8 +567,6 @@ def check_expression(
     e: sx.Expression,
     context: TypeContext,
     expected: sx.LinearType | None = None,
-    *,
-    default_unit: str = DEFAULT_UNIT,
 ) -> tuple[sx.LinearType, TypeContext]:
     """Type one expression against a context of sub-expression bindings.
 
@@ -605,7 +597,7 @@ def check_expression(
             # Typed on its own: its context binders get open partner ports.
             binders = [sx.Addr(x) for x in sx.binder_sites(node)]
             box = sx.Program((node, *binders), ())
-            judgment = check(box, [None] * len(box.interface), default_unit=default_unit)
+            judgment = check(box, [None] * len(box.interface))
             bound = judgment.interface_types[0]
         if bound is not None:
             item[0] = sx.Addr(sx.Address(f"port{len(ports)}"))
@@ -620,7 +612,7 @@ def check_expression(
         return () if isinstance(node, sx.Dual) else [[kid] for kid in sx.children(node)]
 
     body = sx.fold([e], lambda item, kids: sx.rebuild(item[0], kids) if kids else item[0], cut_out)
-    unifier = _Unifier(default_unit)
+    unifier = _Unifier()
     try:
         types, _ = _Scope(sx.Program((body, *ports), ()), declared, unifier).run()
     except _UnifyError as err:

@@ -13,13 +13,15 @@ import re
 
 DEFAULT_UNITS = frozenset({"satoshi", "btc", "ampere", "doge"})
 
-_UNIT_RE = re.compile(r"(?!\d+$)[A-Za-z0-9_]+\Z")
+# A unit token or an address name: letters, digits and underscores, not
+# all digits.
+NAME_RE = re.compile(r"(?!\d+$)[A-Za-z0-9_]+\Z")
 
 UNITS_ENV_VAR = "LLBC_UNITS"
 
 
 def is_valid_unit(token: str) -> bool:
-    return bool(_UNIT_RE.match(token))
+    return bool(NAME_RE.match(token))
 
 
 def load_units(path: str) -> frozenset[str]:

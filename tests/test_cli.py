@@ -115,8 +115,9 @@ class TestDeepCheck:
 
 
 class TestDeepNesting:
-    """Nesting past the parser's limit (100 levels) is one ``kind=limit``
-    line at the first operand too deep, however deep the input goes."""
+    """Input past the parser's limits, nesting deeper than 100 levels or
+    literals expanding to more than 100000 units, is one ``kind=limit``
+    line at the token that crosses the limit, however far past it goes."""
 
     @pytest.mark.parametrize("levels", [401, 100000])
     def test_nested_parentheses(self, capsys, tmp_path, levels):
@@ -126,6 +127,16 @@ class TestDeepNesting:
         assert code == 1
         assert out == ""
         assert err == 'ERROR kind=limit span=1:102 msg="operands nest deeper than 100 levels"\n'
+
+    @pytest.mark.parametrize("command", ["check", "run", "ledger"])
+    def test_ten_digit_literal(self, capsys, tmp_path, command):
+        # Expanded, 1234567890.satoshi would be billions of nodes.
+        script = tmp_path / "huge.llbc"
+        script.write_text("-- types: satoshi\n(a){ txn(a, 1234567890.satoshi) }\n")
+        code, out, err = run_cli(capsys, command, str(script))
+        assert code == 1
+        assert out == ""
+        assert err == 'ERROR kind=limit span=2:13 msg="unit literals expand to more than 100000 units"\n'
 
 
 class TestRun:

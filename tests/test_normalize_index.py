@@ -6,6 +6,7 @@ The index must reproduce it exactly: the same trace lines and redexes,
 the same unit accounting, the same result, and the same state when fuel
 runs out.
 """
+import hashlib
 import random
 import time
 from collections import Counter
@@ -138,6 +139,48 @@ class TestDifferential:
         assert rd.normalize(p).steps > 90
 
 
+def _pinned_record(p, fuel):
+    try:
+        r = rd.normalize(p, fuel, trace=True)
+    except FuelExhausted as err:
+        return ("fuel", err.steps, parser.render(err.state))
+    return (
+        "ok",
+        [t.line() for t in r.trace],
+        parser.render(r.result),
+        sorted(r.burned.items()),
+        sorted(r.discarded.items()),
+        sorted(r.duplicated.items()),
+    )
+
+
+class TestPinnedRuns:
+    """``normalize``'s observable runs, pinned by a digest recorded before
+    the local rules moved into one table. The differential above compares
+    two reducers that share that table, so it cannot see a wrong entry;
+    this digest can: trace lines, the three accounts and the result at
+    full fuel, and the state ``FuelExhausted`` carries at fuel 3."""
+
+    def test_runs_digest(self):
+        programs = generated(seed=4242, count=300, bias=0.25)
+        programs += generated(seed=4243, count=300, bias=0.8)
+        for path in sorted(DEMOS.glob("*.llbc")):
+            programs.append(parser.parse_script(path.read_text(encoding="utf-8"))[0])
+        rng = random.Random("pinned-pipelines")
+        programs += [pipeline(n, rng.randrange(1, 6), rng) for n in (1, 2, 3, 10, 50, 200)]
+        digest = hashlib.sha256()
+        outcomes = Counter()
+        for p in programs:
+            for fuel in (rd.DEFAULT_FUEL, 3):
+                record = _pinned_record(p, fuel)
+                outcomes[record[0]] += 1
+                digest.update(repr(record).encode())
+        assert outcomes == {"ok": 806, "fuel": 410}
+        assert digest.hexdigest() == (
+            "35bb7d5ec552a367469d8f9425d82828768a8905c2aabc80a09bedf7ae3c32af"
+        )
+
+
 def trace_of(src):
     result = rd.normalize(parser.parse_program(src), trace=True)
     return [(t.redex.kind, t.redex.pos, t.redex.partner) for t in result.trace], result
@@ -155,9 +198,10 @@ class TestIndexEdgeCases:
 
     def test_count_drop_enables_an_untouched_pair_to_the_left(self):
         # b occurs four times, so txn(b, c) and txn(b, d) cannot fuse. The
-        # pair at (2, 3) is eligible over a, but _mediator_of fuses it over
-        # b, which leaves b with two occurrences: (0, 1) becomes a redex
-        # although neither of its transactions changed.
+        # pair at (2, 3) is eligible over a, but fuses over b, the first
+        # whole side of txn(b, a) that txn(a, b) has, which leaves b with
+        # two occurrences: (0, 1) becomes a redex although neither of its
+        # transactions changed.
         src = "(c, d){ txn(b, c); txn(b, d); txn(b, a); txn(a, b) }"
         assert rd.find_redexes(parser.parse_program(src)) == [rd.Redex("Transaction", 2, 3)]
         steps, result = trace_of(src)

@@ -230,6 +230,24 @@ class TestNestingLimit:
             parser.parse_expression("(" + deepest + ")")
         assert str(caught.value.span) == f"1:{parser.MAX_NESTING + 1}"
 
+    def test_literals_of_one_parse_are_capped(self):
+        # The cap counts every N . unit of one parse, and the error sits at
+        # the integer that crosses it.
+        limit = parser.MAX_LITERALS
+        assert sx.node_count(parser.parse_expression(f"{limit}.satoshi")) == 2 * limit - 1
+        source = f"(a, b){{ txn(a, {limit - 5}.satoshi); txn(b, 6.btc) }}"
+        with pytest.raises(LimitError) as caught:
+            parser.parse_program(source)
+        assert caught.value.kind == "limit"
+        assert str(caught.value.span) == f"1:{source.index('6.btc') + 1}"
+        for digits in ("1234567890", "9" * 5000):
+            with pytest.raises(LimitError) as caught:
+                parser.parse_expression(f"{digits}.satoshi")
+            assert str(caught.value.span) == "1:1"
+        # Each parse counts afresh.
+        for _ in range(2):
+            parser.parse_expression(f"{limit // 2}.satoshi * {limit // 2}.btc")
+
     def test_prefix_runs_do_not_nest(self):
         n = 100000
         stored = parser.parse_expression("?" * n + "a")

@@ -1,4 +1,6 @@
 """Core model: duality, desugaring, renaming, and address analysis."""
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -243,6 +245,39 @@ class TestAlphaEquivalence:
         a = parser.parse_program("(x, y){}")
         b = parser.parse_program("(y, x){}")
         assert not sx.alpha_equivalent(a, b)
+
+    @pytest.mark.parametrize("n", [400, 100000])
+    def test_deep_literal_against_itself(self, n):
+        p = parser.parse_program(f"(a){{ txn(a, {n}.satoshi) }}")
+        assert sx.alpha_equivalent(p, p)
+        q = parser.parse_program(f"(a){{ txn({n - 1}.satoshi * btc, a) }}")
+        assert not sx.alpha_equivalent(p, q)
+
+    def test_reversed_pending_list(self):
+        # Every transaction has its own key, and the match is one pass.
+        txns = [
+            parser.parse_program(f"(){{ txn(a{i}.l, x{i} # satoshi) }}").pending[0]
+            for i in range(2000)
+        ]
+        a = sx.Program((), tuple(txns))
+        b = sx.Program((), tuple(reversed(txns)))
+        start = time.perf_counter()
+        assert sx.alpha_equivalent(a, b)
+        assert time.perf_counter() - start < 5
+        relabelled = sx.Program((), (sx.rename(txns[0], sx.RIGHT), *txns[1:]))
+        assert sx.alpha_equivalent(a, relabelled)
+        broken = sx.Program((), (txns[1], *txns[1:]))
+        assert not sx.alpha_equivalent(a, broken)
+
+    def test_backtracks_over_an_orientation(self):
+        # x.l and x.r are interchangeable in the first transaction alone, but
+        # only one choice lets the second one match.
+        a = parser.parse_program("(){ txn(x.l, x.r); txn(x.l.l, x.l) }")
+        b = parser.parse_program("(){ txn(x.l, x.r); txn(x.l.l, x.r) }")
+        assert sx.alpha_equivalent(a, b)
+        x = sx.Address("x")
+        l, r, ll = x.extended("l"), x.extended("r"), x.extended("l").extended("l")
+        assert sx._relabelling(a, b) == {l: r, r: l, ll: ll}
 
 
 class TestCounting:

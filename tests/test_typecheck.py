@@ -498,7 +498,7 @@ class TestPinnedBehaviour:
 class TestUnifier:
     def test_path_compression_keeps_polarity(self):
         # v0 = v1^, v1 = v2, v2 = v3^, v3 = v4: one chain of four links.
-        unifier = tc._Unifier("satoshi")
+        unifier = tc._Unifier()
         v = [unifier.fresh() for _ in range(5)]
         for i, flip in enumerate((True, False, True, False)):
             unifier.unify(v[i], unifier.neg(v[i + 1]) if flip else v[i + 1])
