@@ -272,13 +272,6 @@ def load_chain(path: str) -> Chain:
 # ---------------------------------------------------------------------------
 # Bridge into the scripting calculus
 
-def _amount_chain(amount: int, unit: str) -> sx.Expression:
-    expr: sx.Expression = sx.Unit(unit)
-    for _ in range(amount - 1):
-        expr = sx.Iso(expr, sx.Unit(unit))
-    return expr
-
-
 def chain_to_program(chain: Chain) -> sx.Program:
     """Encode a chain as a program assigning each transfer's amount to its
     recipient, genesis-style: the interface lists the receiving addresses
@@ -293,7 +286,7 @@ def chain_to_program(chain: Chain) -> sx.Program:
             key = (t.amount, t.unit)
             literal = literals.get(key)
             if literal is None:
-                literal = literals[key] = _amount_chain(t.amount, t.unit)
+                literal = literals[key] = sx.amount_literal(t.amount, t.unit)
             recipient = sx.Addr(t.target)
             interface.append(recipient)
             pending.append(sx.Transaction(recipient, literal))

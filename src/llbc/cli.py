@@ -14,7 +14,7 @@ import sys
 
 # Each command imports the layers it uses when it runs, so ``compose`` and
 # usage errors never load the parser, checker or reducer.
-from .errors import LlbcError
+from .errors import LlbcError, TypeCheckError
 from .units import active_units
 
 
@@ -94,16 +94,7 @@ def _cmd_check(args) -> int:
     program, declared = _load_script(args.file)
     if declared is None:
         if program.interface:
-            print(
-                _error_line(
-                    "type",
-                    msg=json.dumps(
-                        "interface types are required; add a '-- types: ...' header"
-                    ),
-                ),
-                file=sys.stderr,
-            )
-            return 1
+            raise TypeCheckError("interface types are required; add a '-- types: ...' header")
         declared = []
     judgment = check(program, declared)
     types = ", ".join(render(t) for t in judgment.interface_types)
@@ -151,7 +142,7 @@ def _cmd_compose(args) -> int:
         shared = ch.addresses(left) & ch.addresses(right)
         verdict = {
             "blockwise_isolated": ch.blockwise_isolated(left, right),
-            "isolated": ch.isolated(left, right),
+            "isolated": not shared,
             "shared": sorted(a.render() for a in shared),
         }
         print(json.dumps(verdict, indent=2, sort_keys=True))

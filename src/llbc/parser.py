@@ -346,11 +346,7 @@ class _Parser:
         unit = unit_tok[TEXT]
         if unit not in self.units:
             raise ParseError(f"unknown currency unit {unit!r}", _span(unit_tok))
-        span = self.span_from(tok)
-        expr: sx.Expression = sx.Unit(unit, span=span)
-        for _ in range(count - 1):
-            expr = sx.Iso(expr, sx.Unit(unit, span=span), span=span)
-        return expr
+        return sx.amount_literal(count, unit, self.span_from(tok))
 
     def address_suffix(self, tok: tuple) -> sx.Address:
         path: list[str] = []

@@ -394,6 +394,15 @@ class Program(Node):
     __slots__ = {"interface": CHILDREN, "pending": CHILDREN, "span": SPAN}
 
 
+def amount_literal(count: int, unit: str, span=None) -> Expression:
+    """``count . unit``: the left-nested ``*`` chain of ``count`` literals of
+    ``unit``, every node carrying ``span``."""
+    expr: Expression = Unit(unit, span=span)
+    for _ in range(count - 1):
+        expr = Iso(expr, Unit(unit, span=span), span=span)
+    return expr
+
+
 # ---------------------------------------------------------------------------
 # Traversal, on the children each node class declares. Box bodies are
 # children; addresses, units and box binders are data.

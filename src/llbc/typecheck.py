@@ -2,10 +2,12 @@
 
 ``check`` decides whether a program can be assigned the declared interface
 types under the typing rules: one axiom per address pair, a literal axiom
-for currency units, tensor/par for isolation/connection, with/plus for
-menus and selections, storage/disposal/contraction/replication for the
-exponentials, and a cut rule typing each pending transaction by a pair of
-dual types.
+for currency units, a cut rule typing each pending transaction by a pair of
+dual types, and one row of ``_SHAPED`` per rule that forces a connective:
+tensor/par for isolation/connection, with/plus for menus and selections,
+storage/disposal/contraction/replication for the exponentials. Both boxes,
+menu and replication, are typed by one rule. ``replay`` re-checks a
+derivation against rules stated again, in a table of its own.
 
 Interface types are mandatory input; nothing is inferred about them. What
 a pending transaction cuts, however, carries no annotation, so the checker
@@ -30,6 +32,10 @@ from .errors import (
 from .parser import render
 
 DEFAULT_UNIT = "satoshi"
+
+# The most characters of one type a diagnostic shows: the type of a
+# hundred-thousand-unit literal renders to a megabyte.
+MAX_SHOWN_TYPE = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +158,14 @@ class _Unifier:
             link[var_id] = (target, flip ^ seen)
         return target, flip ^ t.negated ^ negated
 
+    def shown(self, t: sx.LinearType, negated: bool = False) -> str:
+        """``t``, dualised when ``negated``, resolved and rendered for a
+        diagnostic: cut to ``MAX_SHOWN_TYPE`` characters, ``...`` included."""
+        text = render(self.resolve(t, negated))
+        return text if len(text) <= MAX_SHOWN_TYPE else text[: MAX_SHOWN_TYPE - 3] + "..."
+
     def _mismatch(self, a, a_neg, b, b_neg) -> _UnifyError:
-        return _UnifyError(
-            f"{render(self.resolve(a, a_neg))} vs {render(self.resolve(b, b_neg))}"
-        )
+        return _UnifyError(f"{self.shown(a, a_neg)} vs {self.shown(b, b_neg)}")
 
     def _occurs(self, var_id: int, node) -> bool:
         """Does free variable ``var_id`` occur in ``node``? Each class met
@@ -269,16 +279,21 @@ class _Unifier:
 # whose type may still hold variables; the :class:`Derivation` tree is
 # built from it, once every variable is bound, when it is first read.
 
-# Rules that force the expected type into a connective's shape: the rule,
-# the connective, and how an error names the form.
+# One row per rule that forces the expected type into a connective's
+# shape, boxes included: the rule, the connective, how an error names the
+# form, and the slot of that connective each premise is typed at (None: the
+# whole type). A box's premises are its branches (a replication's body),
+# each checked as a program whose principal port takes the slot.
 _SHAPED = {
-    sx.Iso: ("Tensor", sx.Tensor, "an isolation"),
-    sx.Conn: ("Par", sx.Par, "a connection"),
-    sx.Store: ("Storage", sx.WhyNot, "storage"),
-    sx.Dispose: ("Disposal", sx.WhyNot, "disposal"),
-    sx.Contract: ("Contraction", sx.WhyNot, "contraction"),
-    sx.Inl: ("Left", sx.Plus, "a selection"),
-    sx.Inr: ("Right", sx.Plus, "a selection"),
+    sx.Iso: ("Tensor", sx.Tensor, "an isolation", (0, 1)),
+    sx.Conn: ("Par", sx.Par, "a connection", (0, 1)),
+    sx.Store: ("Storage", sx.WhyNot, "storage", (0,)),
+    sx.Dispose: ("Disposal", sx.WhyNot, "disposal", ()),
+    sx.Contract: ("Contraction", sx.WhyNot, "contraction", (None, None)),
+    sx.Inl: ("Left", sx.Plus, "a selection", (0,)),
+    sx.Inr: ("Right", sx.Plus, "a selection", (1,)),
+    sx.Choose: ("With", sx.With, "a menu", (0, 1)),
+    sx.Bang: ("Replication", sx.OfCourse, "replication", (0,)),
 }
 
 
@@ -292,30 +307,29 @@ class _Scope:
                 f"{len(program.interface)} interface entr{'y' if len(program.interface) == 1 else 'ies'}",
                 program.span,
             )
-        self.declared = [
-            unifier.fresh() if t is None else t for t in declared
-        ]
+        self.declared = [unifier.fresh() if t is None else t for t in declared]
         self.commits: dict[sx.Address, list[sx.LinearType]] = {}
-        self.census: dict[sx.Address, list[str]] = {}
+        self.census: dict[sx.Address, int] = {}
         self._run_census()
 
     # -- linearity census ----------------------------------------------------
 
     def _run_census(self):
+        """Count each address's occurrences: two, or one at the interface."""
+        counts, at_interface = self.census, set()
         for address, tag in sx.surface_occurrences(self.program):
-            self.census.setdefault(address, []).append(tag)
-        for address, tags in self.census.items():
-            if len(tags) == 2:
-                continue
-            if len(tags) == 1 and tags[0] == sx.ENTRY:
-                continue
-            raise NonLinearAddressError(address.render(), len(tags), span=self.program.span)
+            counts[address] = counts.get(address, 0) + 1
+            if tag == sx.ENTRY:
+                at_interface.add(address)
+        for address, count in counts.items():
+            if count != 2 and (count != 1 or address not in at_interface):
+                raise NonLinearAddressError(address.render(), count, span=self.program.span)
 
     # -- occurrence table ---------------------------------------------------
 
     def _learn(self, address, t, span):
         known = self.commits.setdefault(address, [])
-        if len(known) >= len(self.census[address]):
+        if len(known) >= self.census[address]:
             raise TypeMismatchError(
                 f"address {address.render()} has more typed occurrences than uses", span
             )
@@ -344,9 +358,7 @@ class _Scope:
         try:
             right = self._type_expr(txn.right, self.unifier.neg(left[2]))
         except _UnifyError as err:
-            raise TypeMismatchError(
-                f"transaction joins non-dual types: {err}", txn.span
-            ) from None
+            raise TypeMismatchError(f"transaction joins non-dual types: {err}", txn.span) from None
         return ("Cut", txn, left[2], (left, right))
 
     # -- expression typing ------------------------------------------------------
@@ -359,23 +371,13 @@ class _Scope:
             node, neg = unifier.head(expected)
             if type(node) is not int:
                 if _shape(node, neg) is not cls:
-                    raise TypeMismatchError(
-                        f"{what} cannot have type {render(unifier.resolve(expected))}", span
-                    )
+                    raise TypeMismatchError(f"{what} cannot have type {unifier.shown(expected)}", span)
                 slots = sx.children(node)
                 return expected, tuple(map(unifier.neg, slots)) if neg else slots
         shaped, slots = unifier.shaped(cls)
         if expected is not None:
             unifier.unify(expected, shaped)
         return shaped, slots
-
-    def _match_expected(self, expected, actual, span):
-        if expected is None:
-            return
-        try:
-            self.unifier.unify(expected, actual)
-        except _UnifyError as err:
-            raise TypeMismatchError(f"expected type does not fit: {err}", span) from None
 
     def _type_expr(self, e, expected) -> tuple:
         """The derivation of ``e`` against ``expected`` (None: unconstrained).
@@ -401,24 +403,25 @@ class _Scope:
             return []
         if kind is sx.Unit or (kind is sx.Dual and type(e.inner) is sx.Unit):
             t = sx.Atom(e.unit) if kind is sx.Unit else sx.Atom(e.inner.unit, True)
-            self._match_expected(expected, t, e.span)
+            if expected is not None:
+                try:
+                    self.unifier.unify(expected, t)
+                except _UnifyError as err:
+                    raise TypeMismatchError(f"expected type does not fit: {err}", e.span) from None
             item[:] = ("Literal", e, t)
             return []
         if kind is sx.Dual:
             raise TypeMismatchError("dual marker survives only on literals", e.span)
-        if kind in _SHAPED:
-            rule, cls, what = _SHAPED[kind]
-            out, slots = self._want(expected, cls, e.span, what)
-            if kind is sx.Contract:
-                slots = (out, out)
-            elif kind is sx.Inr:
-                slots = slots[1:]
-            item[:] = (rule, e, out)
-            return [[kid, slot] for kid, slot in zip(sx.children(e), slots)]
+        row = _SHAPED.get(kind)
+        if row is None:
+            raise TypeMismatchError(f"cannot type {kind.__name__}", getattr(e, "span", None))
         if kind is sx.Choose or kind is sx.Bang:
-            item[:] = (self._type_choose if kind is sx.Choose else self._type_bang)(e, expected)
+            item[:] = self._type_box(e, expected, row)
             return []
-        raise TypeMismatchError(f"cannot type {kind.__name__}", getattr(e, "span", None))
+        rule, cls, what, at = row
+        out, slots = self._want(expected, cls, e.span, what)
+        item[:] = (rule, e, out)
+        return [[kid, out if i is None else slots[i]] for kid, i in zip(sx.children(e), at)]
 
     # -- boxes -------------------------------------------------------------------
 
@@ -428,70 +431,63 @@ class _Scope:
         binders = sx.context_binders(box)
         if binders is not None:
             return binders
-        if isinstance(box, sx.Choose):
-            width = len(box.left.interface)
-            if width == 0 or len(box.right.interface) != width:
-                raise BranchContextMismatchError(
-                    "menu branches must expose the same, non-empty interface", box.span
-                )
-            raise TypeMismatchError(
-                f"menu binds {len(box.bound)} address(es) for branches of width {width}",
-                box.span,
+        menu = type(box) is sx.Choose
+        width = len((box.left if menu else box.body).interface)
+        if menu and (width == 0 or len(box.right.interface) != width):
+            raise BranchContextMismatchError(
+                "menu branches must expose the same, non-empty interface", box.span
             )
-        width = len(box.body.interface)
         if width == 0:
             raise TypeMismatchError("replication body must expose a principal port", box.span)
+        owner, held = ("menu", "branches") if menu else ("replication", "a body")
         raise TypeMismatchError(
-            f"replication binds {len(box.bound)} address(es) for a body of width {width}",
-            box.span,
+            f"{owner} binds {len(box.bound)} address(es) for {held} of width {width}", box.span
         )
 
-    def _context_expectations(self, binders):
-        # A binder's partner occurrence (the conclusion's context entry)
-        # carries the same type as the branch's own context entry; only the
-        # binder-list occurrence itself is dual.
-        return [self.commits[x][0] if self.commits.get(x) else self.unifier.fresh() for x in binders]
-
-    def _type_choose(self, box, expected):
+    def _type_box(self, box, expected, row) -> tuple:
+        """A menu or a replication box: each branch is checked as a program
+        whose principal port takes its slot and whose other ports take the
+        context. A menu's two context vectors must then agree; a
+        replication's context must be ?-typed."""
+        rule, cls, what, at = row
+        unifier = self.unifier
         binders = self._binder_split(box)
-        out, (lw, rw) = self._want(expected, sx.With, box.span, "a menu")
-        ctx = self._context_expectations(binders)
-        left_types, left_deriv = _Scope(box.left, [lw] + ctx, self.unifier).run()
-        # The right branch gets its own slots; requiring the two context
-        # vectors to agree is a distinct, reportable failure.
-        right_ctx = [self.unifier.fresh() for _ in binders]
-        right_types, right_deriv = _Scope(box.right, [rw] + right_ctx, self.unifier).run()
-        for left_g, right_g in zip(left_types[1:], right_types[1:]):
-            try:
-                self.unifier.unify(left_g, right_g)
-            except _UnifyError:
-                raise BranchContextMismatchError(
-                    "menu branches disagree on their shared context: "
-                    f"({', '.join(render(self.unifier.resolve(t)) for t in left_types[1:])}) vs "
-                    f"({', '.join(render(self.unifier.resolve(t)) for t in right_types[1:])})",
-                    box.span,
-                ) from None
-        for x, g in zip(binders, left_types[1:]):
-            self._learn(x, self.unifier.neg(g), box.span)
-        return ("With", box, out, (left_deriv, right_deriv))
-
-    def _type_bang(self, box, expected):
-        binders = self._binder_split(box)
-        out, (bw,) = self._want(expected, sx.OfCourse, box.span, "replication")
-        ctx = self._context_expectations(binders)
-        types, deriv = _Scope(box.body, [bw] + ctx, self.unifier).run()
-        for g in types[1:]:
-            node, neg = self.unifier.head(g)
-            if type(node) is int:
-                self.unifier.unify(g, self.unifier.shaped(sx.WhyNot)[0])
-            elif _shape(node, neg) is not sx.WhyNot:
-                raise PromotionContextError(
-                    f"replication context must be ?-typed, found {render(self.unifier.resolve(g))}",
-                    box.span,
-                )
-        for x, g in zip(binders, types[1:]):
-            self._learn(x, self.unifier.neg(g), box.span)
-        return ("Replication", box, out, (deriv,))
+        out, slots = self._want(expected, cls, box.span, what)
+        contexts, premises = [], []
+        for branch, i in zip(sx.children(box), at):
+            # A binder's partner occurrence (the conclusion's context entry)
+            # has the first branch's context type; only the binder-list
+            # occurrence is dual. A menu's second branch gets types of its
+            # own, so that disagreeing with the first is reported as such.
+            context = [
+                unifier.fresh() if contexts or not self.commits.get(x) else self.commits[x][0]
+                for x in binders
+            ]
+            premises.append(_Scope(branch, [slots[i], *context], unifier).run()[1])
+            contexts.append(context)
+        context = contexts[0]
+        if len(contexts) == 2:  # a menu
+            for left, right in zip(*contexts):
+                try:
+                    unifier.unify(left, right)
+                except _UnifyError:
+                    raise BranchContextMismatchError(
+                        "menu branches disagree on their shared context: "
+                        + " vs ".join(f"({', '.join(map(unifier.shown, c))})" for c in contexts),
+                        box.span,
+                    ) from None
+        else:  # a replication
+            for g in context:
+                node, neg = unifier.head(g)
+                if type(node) is int:
+                    unifier.unify(g, unifier.shaped(sx.WhyNot)[0])
+                elif _shape(node, neg) is not sx.WhyNot:
+                    raise PromotionContextError(
+                        f"replication context must be ?-typed, found {unifier.shown(g)}", box.span
+                    )
+        for x, g in zip(binders, context):
+            self._learn(x, unifier.neg(g), box.span)
+        return (rule, box, out, tuple(premises))
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +517,7 @@ def check(program: sx.Program, declared) -> TypedJudgment:
         rule, node, t, _ = raw
         return Derivation(rule, node, None if t is None else unifier.resolve(t, memo=memo), premises)
 
-    return TypedJudgment(
-        program, tuple(types), lambda: sx.fold(derivation, build, lambda raw: raw[3])
-    )
+    return TypedJudgment(program, tuple(types), lambda: sx.fold(derivation, build, lambda raw: raw[3]))
 
 
 # -- expression-level checking against an explicit context --------------------
@@ -647,65 +641,45 @@ def replay(judgment: TypedJudgment) -> bool:
     return all(map(_rule_holds, sx.walk(root)))
 
 
+# What each shaped and box rule concludes, stated again apart from the
+# checker's ``_SHAPED`` so that replay checks the checker, not itself: the
+# connective of the conclusion, the part of it each premise concludes (None:
+# all of it), and whether the premises are programs, whose principal port
+# then carries that part.
+_CONCLUSIONS = {
+    "Tensor": (sx.Tensor, ("left", "right"), False),
+    "Par": (sx.Par, ("left", "right"), False),
+    "Storage": (sx.WhyNot, ("body",), False),
+    "Disposal": (sx.WhyNot, (), False),
+    "Contraction": (sx.WhyNot, (None, None), False),
+    "Left": (sx.Plus, ("left",), False),
+    "Right": (sx.Plus, ("right",), False),
+    "With": (sx.With, ("left", "right"), True),
+    "Replication": (sx.OfCourse, ("body",), True),
+}
+
+
 def _rule_holds(node: Derivation) -> bool:
     """Does ``node``'s conclusion follow from its premises' conclusions?"""
     rule, t, kids = node.rule, node.type, node.children
+    row = _CONCLUSIONS.get(rule)
+    if row is not None:
+        connective, parts, boxed = row
+        return type(t) is connective and len(kids) == len(parts) and all(
+            (t if part is None else getattr(t, part)) == (_principal_type(kid) if boxed else kid.type)
+            for kid, part in zip(kids, parts)
+        )
     if rule == "Axiom" or rule == "Literal":
         return t is not None and not kids
-    if rule == "Tensor" or rule == "Par":
-        return (
-            len(kids) == 2
-            and type(t) is (sx.Tensor if rule == "Tensor" else sx.Par)
-            and t.left == kids[0].type
-            and t.right == kids[1].type
-        )
-    if rule == "Storage":
-        return len(kids) == 1 and isinstance(t, sx.WhyNot) and t.body == kids[0].type
-    if rule == "Disposal":
-        return isinstance(t, sx.WhyNot) and not kids
-    if rule == "Contraction":
-        return (
-            len(kids) == 2
-            and isinstance(t, sx.WhyNot)
-            and kids[0].type == t
-            and kids[1].type == t
-        )
-    if rule == "Left" or rule == "Right":
-        return (
-            len(kids) == 1
-            and isinstance(t, sx.Plus)
-            and (t.left if rule == "Left" else t.right) == kids[0].type
-        )
-    if rule == "With":
-        return (
-            len(kids) == 2
-            and isinstance(t, sx.With)
-            and kids[0].rule == "Program"
-            and kids[1].rule == "Program"
-            and t.left == _principal_type(kids[0])
-            and t.right == _principal_type(kids[1])
-        )
-    if rule == "Replication":
-        return (
-            len(kids) == 1
-            and isinstance(t, sx.OfCourse)
-            and kids[0].rule == "Program"
-            and t.body == _principal_type(kids[0])
-        )
     if rule == "Cut":
-        if len(kids) != 2:
-            return False
-        lt, rt = kids[0].type, kids[1].type
-        return (
-            lt is not None
-            and rt is not None
-            and rt == sx.dual(lt)
-            and t == lt
-        )
+        lt = kids[0].type if len(kids) == 2 else None
+        return lt is not None and kids[1].type == sx.dual(lt) and t == lt
     return rule == "Program"
 
 
-def _principal_type(program_node: Derivation) -> sx.LinearType | None:
-    if not program_node.children:
+def _principal_type(premise: Derivation) -> sx.LinearType | None:
+    """The type at a program premise's principal port; None for any other
+    premise."""
+    if premise.rule != "Program" or not premise.children:
         return None
-    return program_node.children[0].type
+    return premise.children[0].type

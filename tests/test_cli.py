@@ -52,7 +52,21 @@ class TestCheck:
         script.write_text("(x){ txn(x, satoshi) }\n")
         code, _, err = run_cli(capsys, "check", str(script))
         assert code == 1
-        assert err.startswith("ERROR kind=type")
+        assert err == (
+            'ERROR kind=type msg="interface types are required; add a \'-- types: ...\' header"\n'
+        )
+
+    def test_wide_type_in_a_mismatch_is_cut(self, capsys, tmp_path):
+        # The disposal is asked to have a 100000-fold par type, whose full
+        # rendering is over a megabyte; the error line shows its head.
+        script = tmp_path / "wide.llbc"
+        script.write_text("-- types:\n(){ txn(a, 100000.satoshi); txn(a, _) }\n")
+        code, out, err = run_cli(capsys, "check", str(script))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ERROR kind=type-mismatch span=2:36 msg=\"disposal cannot have type ")
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 4096
 
     @pytest.mark.parametrize(
         "source",

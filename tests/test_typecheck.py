@@ -226,6 +226,172 @@ class TestDerivationReplay:
         assert not tc.replay(bad)
 
 
+_S, _B = sx.Atom("satoshi"), sx.Atom("btc")
+_X = sx.Addr(sx.Address("x"))
+
+
+def _leaf(t):
+    return tc.Derivation("Axiom", _X, t)
+
+
+def _branch(t):
+    """A box premise: a program whose principal port has type ``t``."""
+    return tc.Derivation("Program", sx.Program((_X,), ()), None, (_leaf(t),))
+
+
+def _cut(t):
+    """A cut concluding ``t``: a typed node whose first premise has type
+    ``t``, as a branch's principal port would."""
+    return tc.Derivation("Cut", sx.Transaction(_X, _X), t, (_leaf(t), _leaf(sx.dual(t))))
+
+
+# One accepted node per shaped and box rule, and the cut: (type, premises).
+_SOUND_NODES = {
+    "Tensor": (sx.Tensor(_S, _B), (_leaf(_S), _leaf(_B))),
+    "Par": (sx.Par(_S, _B), (_leaf(_S), _leaf(_B))),
+    "Storage": (sx.WhyNot(_S), (_leaf(_S),)),
+    "Disposal": (sx.WhyNot(_S), ()),
+    "Contraction": (sx.WhyNot(_S), (_leaf(sx.WhyNot(_S)), _leaf(sx.WhyNot(_S)))),
+    "Left": (sx.Plus(_S, _B), (_leaf(_S),)),
+    "Right": (sx.Plus(_S, _B), (_leaf(_B),)),
+    "With": (sx.With(_S, _B), (_branch(_S), _branch(_B))),
+    "Replication": (sx.OfCourse(_S), (_branch(_S),)),
+    "Cut": (_S, (_leaf(_S), _leaf(sx.dual(_S)))),
+}
+
+# Premises taken from the wrong part of the conclusion.
+_WRONG_SLOT = {
+    "Tensor": (_leaf(_B), _leaf(_S)),
+    "Par": (_leaf(_B), _leaf(_S)),
+    "Storage": (_leaf(sx.WhyNot(_S)),),
+    "Contraction": (_leaf(_S), _leaf(_S)),
+    "Left": (_leaf(_B),),
+    "Right": (_leaf(_S),),
+    "With": (_branch(_B), _branch(_S)),
+    "Replication": (_branch(sx.OfCourse(_S)),),
+}
+
+# The premise kinds swapped: a program where a typed node belongs, or the
+# reverse.
+_WRONG_PREMISE_KIND = {
+    "Tensor": (_branch(_S), _leaf(_B)),
+    "Par": (_leaf(_S), _branch(_B)),
+    "Storage": (_branch(_S),),
+    "Contraction": (_branch(sx.WhyNot(_S)), _leaf(sx.WhyNot(_S))),
+    "Left": (_branch(_S),),
+    "Right": (_branch(_B),),
+    "With": (_cut(_S), _branch(_B)),
+    "Replication": (_cut(_S),),
+    "Cut": (_branch(_S), _leaf(sx.dual(_S))),
+}
+
+
+def _replays(rule, t, premises):
+    """``replay`` on a judgment whose one derivation node under the root is
+    ``rule`` concluding ``t`` from ``premises``."""
+    node = tc.Derivation(rule, _X, t, premises)
+    if rule == "Cut":
+        program = sx.Program((), (sx.Transaction(_X, _X),))
+        return tc.replay(tc.TypedJudgment(program, (), tc.Derivation("Program", program, None, (node,))))
+    program = sx.Program((_X,), ())
+    return tc.replay(tc.TypedJudgment(program, (t,), tc.Derivation("Program", program, None, (node,))))
+
+
+class TestReplayVerdicts:
+    """``replay`` on single hand-built rule applications: each rule's sound
+    node is accepted, and each way of breaking it is rejected."""
+
+    @pytest.mark.parametrize("rule", sorted(_SOUND_NODES))
+    def test_sound_node_accepted(self, rule):
+        assert _replays(rule, *_SOUND_NODES[rule])
+
+    @pytest.mark.parametrize("rule", sorted(set(_SOUND_NODES) - {"Cut"}))
+    def test_wrong_connective_rejected(self, rule):
+        t, premises = _SOUND_NODES[rule]
+        flipped = sx.DUAL_CONNECTIVE[type(t)](*sx.children(t))
+        assert not _replays(rule, flipped, premises)
+
+    @pytest.mark.parametrize("rule", sorted(_SOUND_NODES))
+    def test_wrong_premise_count_rejected(self, rule):
+        t, premises = _SOUND_NODES[rule]
+        assert not _replays(rule, t, premises + (_leaf(_S),))
+        if premises:
+            assert not _replays(rule, t, premises[:-1])
+
+    @pytest.mark.parametrize("rule", sorted(_WRONG_SLOT))
+    def test_premise_from_the_wrong_slot_rejected(self, rule):
+        assert not _replays(rule, _SOUND_NODES[rule][0], _WRONG_SLOT[rule])
+
+    def test_cut_concludes_its_left_side(self):
+        assert not _replays("Cut", sx.dual(_S), _SOUND_NODES["Cut"][1])
+
+    @pytest.mark.parametrize("rule", sorted(_WRONG_PREMISE_KIND))
+    def test_wrong_premise_kind_rejected(self, rule):
+        assert not _replays(rule, _SOUND_NODES[rule][0], _WRONG_PREMISE_KIND[rule])
+
+    def test_cut_of_non_dual_sides_rejected(self):
+        assert not _replays("Cut", _S, (_leaf(_S), _leaf(_S)))
+        assert not _replays("Cut", _S, (_leaf(_S), _leaf(sx.dual(_B))))
+
+
+class TestBoxErrors:
+    """The two errors a well-shaped box can raise, exactly."""
+
+    @pytest.mark.parametrize(
+        "source, types, message, span",
+        [
+            (
+                "(m){ txn(choose(m){ (satoshi, btc){}; (satoshi, doge){} }, inl(satoshi^)) }",
+                ["btc"],
+                "(btc) vs (doge)",
+                "1:10",
+            ),
+            (
+                "(m, n){ txn(choose(m, n){ (satoshi, btc, doge * btc){};"
+                " (satoshi, doge, btc # btc){} }, inl(satoshi^)) }",
+                [None, None],
+                "(btc, doge * btc) vs (doge, btc # btc)",
+                "1:13",
+            ),
+            (
+                "(m){ txn(choose(m){ (satoshi, btc){};"
+                " (satoshi, x * y){ txn(x, inl(doge)); txn(y, _) } }, inl(satoshi^)) }",
+                [None],
+                "(btc) vs ((doge + T9) * ?T11)",
+                "1:10",
+            ),
+        ],
+    )
+    def test_menu_branches_disagree(self, source, types, message, span):
+        program = parser.parse_program(source)
+        with pytest.raises(BranchContextMismatchError) as err:
+            tc.check(program, [None if t is None else parser.parse_type(t) for t in types])
+        assert err.value.kind == "branch-context-mismatch"
+        assert err.value.message == f"menu branches disagree on their shared context: {message}"
+        assert str(err.value.span) == span
+
+    @pytest.mark.parametrize(
+        "source, types, found, span",
+        [
+            ("(s){ txn(!(s){ (satoshi, btc){} }, ?satoshi^) }", ["btc"], "btc", "1:10"),
+            (
+                "(s, t){ txn(!(s, t){ (satoshi, ?btc, btc * doge){} }, ?satoshi^) }",
+                [None, None],
+                "btc * doge",
+                "1:13",
+            ),
+            ("(s){ txn(!(s){ (satoshi, x){ txn(x, inl(btc)) } }, ?satoshi^) }", [None], "btc + T5", "1:10"),
+        ],
+    )
+    def test_replication_context_not_whynot(self, source, types, found, span):
+        program = parser.parse_program(source)
+        with pytest.raises(PromotionContextError) as err:
+            tc.check(program, [None if t is None else parser.parse_type(t) for t in types])
+        assert err.value.kind == "non-exponential-promotion-context"
+        assert err.value.message == f"replication context must be ?-typed, found {found}"
+        assert str(err.value.span) == span
+
+
 class TestDerivationOnFirstRead:
     """``check`` builds the derivation tree when it is first read."""
 
