@@ -27,6 +27,11 @@ from .errors import HeightMismatch, IsolationError, LimitError
 from .units import is_valid_unit
 
 
+def _check_unit(unit: str) -> None:
+    if not is_valid_unit(unit):
+        raise ValueError(f"invalid currency unit token: {unit!r}")
+
+
 class Transfer(sx.Node):
     __slots__ = {"source": sx.DATA, "target": sx.DATA, "amount": sx.DATA, "unit": sx.DATA}
 
@@ -35,8 +40,7 @@ class Transfer(sx.Node):
             raise ValueError("a transfer must move funds between distinct addresses")
         if not isinstance(self.amount, int) or isinstance(self.amount, bool) or self.amount <= 0:
             raise ValueError(f"transfer amount must be a positive integer: {self.amount!r}")
-        if not is_valid_unit(self.unit):
-            raise ValueError(f"invalid currency unit token: {self.unit!r}")
+        _check_unit(self.unit)
         if self.source.path or self.target.path:
             raise ValueError("chain addresses are plain names without freshness marks")
 
@@ -56,15 +60,9 @@ class Chain(sx.Node):
 
 
 def addresses(value: Chain | Block) -> frozenset[sx.Address]:
-    # An address loaded by chain_from_json repeats as one object, so
-    # deduplicating by identity first hashes each object once.
     blocks = (value,) if isinstance(value, Block) else value.blocks
-    seen: dict[int, sx.Address] = {}
-    for block in blocks:
-        for t in block.transfers:
-            seen[id(t.source)] = t.source
-            seen[id(t.target)] = t.target
-    return frozenset(seen.values())
+    sources = {t.source for block in blocks for t in block.transfers}
+    return frozenset(sources | {t.target for block in blocks for t in block.transfers})
 
 
 def isolated(c1: Chain, c2: Chain) -> bool:
@@ -80,9 +78,12 @@ def blockwise_isolated(c1: Chain, c2: Chain) -> bool:
     """
     if c1.height != c2.height:
         raise HeightMismatch(c1.height, c2.height)
-    return all(
-        not (addresses(b1) & addresses(b2)) for b1, b2 in zip(c1.blocks, c2.blocks)
-    )
+    for b1, b2 in zip(c1.blocks, c2.blocks):
+        left = {a for t in b1.transfers for a in (t.source, t.target)}
+        for t in b2.transfers:
+            if t.source in left or t.target in left:
+                return False
+    return True
 
 
 def _padded(c1: Chain, c2: Chain) -> tuple[Chain, Chain]:
@@ -197,13 +198,16 @@ def _transfer_fields(raw) -> tuple:
     if not isinstance(raw, dict):
         raise ValueError(f"a transfer must be an object, not {type(raw).__name__}")
     try:
-        source, target, amount, unit = _TRANSFER_FIELDS(raw)
+        fields = _TRANSFER_FIELDS(raw)
     except KeyError as err:
         raise ValueError(f"a transfer needs a {err} field") from None
-    for key, value in (("from", source), ("to", target), ("unit", unit)):
-        if not isinstance(value, str):
-            raise ValueError(f"transfer field {key!r} must be a string, not {type(value).__name__}")
-    return source, target, amount, unit
+    source, target, _, unit = fields
+    if not (type(source) is str and type(target) is str and type(unit) is str):
+        # The usual case takes one test; this names the first field at fault.
+        for key, value in (("from", source), ("to", target), ("unit", unit)):
+            if not isinstance(value, str):
+                raise ValueError(f"transfer field {key!r} must be a string, not {type(value).__name__}")
+    return fields
 
 
 # Arrays and objects nest at most this deep in a chain file; a chain
@@ -228,24 +232,28 @@ def _check_nesting(text: str) -> None:
         raise LimitError(f"chain JSON nests deeper than {MAX_JSON_NESTING} levels")
 
 
+class _Interned(dict):
+    """Each distinct address name's node, validated and built on first use."""
+
+    def __missing__(self, name: str) -> sx.Address:
+        found = self[name] = sx.Address(name)
+        return found
+
+
 def chain_from_json(text: str) -> Chain:
     """Load a chain. Input nested deeper than ``MAX_JSON_NESTING`` raises
     :class:`LimitError`; anything else that is not a valid chain raises
     ValueError, naming the block and transfer index when it lies inside
-    one. Each distinct address name is validated and built once per call,
-    so equal addresses are one object."""
+    one. Each distinct address name and unit is validated once per call,
+    and equal addresses are one object; a transfer is then built after
+    the checks that depend on it alone, in the order and with the
+    messages of the checking ``Transfer`` constructor."""
     _check_nesting(text)
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("blocks"), list):
         raise ValueError("chain JSON must be an object with a 'blocks' array")
-    interned: dict[str, sx.Address] = {}
-
-    def address(name: str) -> sx.Address:
-        found = interned.get(name)
-        if found is None:
-            found = interned[name] = sx.Address(name)
-        return found
-
+    address = _Interned()
+    units: set[str] = set()
     blocks = []
     for i, raw_block in enumerate(payload["blocks"]):
         if not isinstance(raw_block, dict):
@@ -257,7 +265,13 @@ def chain_from_json(text: str) -> Chain:
         for j, raw in enumerate(raw_transfers):
             try:
                 source, target, amount, unit = _transfer_fields(raw)
-                transfers.append(Transfer(address(source), address(target), amount, unit))
+                source, target = address[source], address[target]
+                if source is target or type(amount) is not int or amount <= 0:
+                    Transfer(source, target, amount, unit)  # raises the constructor's error
+                if unit not in units:
+                    _check_unit(unit)
+                    units.add(unit)
+                transfers.append(Transfer.trusted(source, target, amount, unit))
             except ValueError as err:
                 raise ValueError(f"block {i}, transfer {j}: {err}") from None
         blocks.append(Block(tuple(transfers)))
@@ -276,9 +290,11 @@ def chain_to_program(chain: Chain) -> sx.Program:
     """Encode a chain as a program assigning each transfer's amount to its
     recipient, genesis-style: the interface lists the receiving addresses
     and each transfer becomes one pending assignment. Syntax nodes are
-    immutable values, so the recipient node is shared between interface and
-    assignment, and transfers of equal amount and unit share one literal."""
+    immutable values, so each recipient is one node, shared by the interface
+    and its assignments, and transfers of equal amount and unit share one
+    literal."""
     literals: dict[tuple[int, str], sx.Expression] = {}
+    recipients: dict[sx.Address, sx.Addr] = {}
     interface = []
     pending = []
     for block in chain.blocks:
@@ -287,7 +303,9 @@ def chain_to_program(chain: Chain) -> sx.Program:
             literal = literals.get(key)
             if literal is None:
                 literal = literals[key] = sx.amount_literal(t.amount, t.unit)
-            recipient = sx.Addr(t.target)
+            recipient = recipients.get(t.target)
+            if recipient is None:
+                recipient = recipients[t.target] = sx.Addr(t.target)
             interface.append(recipient)
             pending.append(sx.Transaction(recipient, literal))
     return sx.Program(tuple(interface), tuple(pending))

@@ -503,12 +503,9 @@ _LAYOUT = {
     sx.Addr: lambda n: n.address.render(),
     sx.Address: lambda n: n.render(),
     sx.Unit: lambda n: n.unit,
-    sx.Atom: lambda n: n.unit + "^" if n.negated else n.unit,
     sx.Dispose: lambda n: "_",
     sx.Dual: lambda n: [(n.inner, _ATOM_LEVEL), "^"],
     sx.Store: lambda n: ["?", (n.inner, _PREFIX_LEVEL)],
-    sx.WhyNot: lambda n: ["?", (n.body, _PREFIX_LEVEL)],
-    sx.OfCourse: lambda n: ["!", (n.body, _PREFIX_LEVEL)],
     sx.Inl: lambda n: ["inl(", (n.inner, 0), ")"],
     sx.Inr: lambda n: ["inr(", (n.inner, 0), ")"],
     sx.Choose: lambda n: [f"choose({_names(n.bound)}){{ ", (n.left, 0), "; ", (n.right, 0), " }"],
@@ -523,6 +520,8 @@ _LAYOUT = {
 def render(value) -> str:
     """Concrete syntax for a program, transaction, expression, or type.
     Iterative, so arbitrarily deep values are fine."""
+    if isinstance(value, sx.LinearType):
+        return render_type(value)
     out: list[str] = []
     sugar: dict[int, str | None] = {}
     todo: list = [(value, 0)]
@@ -548,8 +547,51 @@ def render(value) -> str:
                 out.append(parts)
             else:
                 todo += reversed(parts)
-        elif isinstance(node, sx.LinearType):
-            out.append(str(node))  # a leaf from outside the syntax, such as a checker's unknown
         else:
             raise TypeError(f"cannot render {node!r}")
+    return "".join(out)
+
+
+# What the type printer writes for a prefix, and between the operands of
+# an infix connective.
+_PREFIX_OF_TYPE = {sx.WhyNot: "?", sx.OfCourse: "!"}
+_SPACED = {op.type: f" {op.text} " for op in _INFIX.values() if isinstance(op.type, type)}
+
+
+def render_type(t: sx.LinearType, negated: bool = False, chase=None, limit=None) -> str:
+    """Concrete syntax for ``t``, dualised when ``negated``. Iterative.
+
+    ``chase(node, negated)``, if given, names the node to print in place
+    of each one met and the polarity to read it at; a leaf from outside
+    the syntax, such as a checker's unknown, prints as ``str(leaf)``.
+    With ``limit``, writing stops once more than ``limit`` characters are
+    out, so a large type costs only the depth of its head.
+    """
+    out: list[str] = []
+    size = 0
+    todo: list = [(t, negated, 0)]
+    while todo and (limit is None or size <= limit):
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            size += len(item)
+            continue
+        node, neg, level = item
+        if chase is not None:
+            node, neg = chase(node, neg)
+        kind = sx.DUAL_CONNECTIVE.get(type(node), type(node)) if neg else type(node)
+        if kind is sx.Atom:
+            text = node.unit + "^" if node.negated ^ neg else node.unit
+        elif kind in _PREFIX_OF_TYPE:
+            todo += ((node.body, neg, _PREFIX_LEVEL), _PREFIX_OF_TYPE[kind])
+            continue
+        elif kind in _SPACED:
+            op = _OP_OF_NODE[kind]
+            parts = ((node.right, neg, op.level + 1), _SPACED[kind], (node.left, neg, op.level))
+            todo += (")", *parts, "(") if op.level < level else parts
+            continue
+        else:
+            text = str(node)
+        out.append(text)
+        size += len(text)
     return "".join(out)

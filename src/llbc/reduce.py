@@ -487,27 +487,29 @@ def readback_ledger(p: sx.Program) -> Ledger:
     balances: defaultdict[sx.Address, Counter] = defaultdict(Counter)
     burned: Counter = Counter()
     # Literals are immutable and may be shared between transactions (see
-    # chains.chain_to_program), so each is walked once. The key is id(),
-    # not the node: hashing a node walks all of it.
+    # chains.chain_to_program): each is walked once, its uses are counted
+    # per owner (None: burned), and its units are weighed once at the end.
+    # The key is id(), not the node: hashing a node walks all of it.
     trees: dict[int, Counter | None] = {}
-
-    def unit_tree(node: sx.Expression) -> Counter | None:
-        key = id(node)
-        if key not in trees:
-            trees[key] = _unit_tree(node)
-        return trees[key]
-
+    uses: Counter = Counter()
     for i, txn in enumerate(p.pending):
         for head, other in ((txn.left, txn.right), (txn.right, txn.left)):
             if isinstance(head, sx.Addr) and isinstance(other, sx.Dispose):
                 balances[head.address]  # an empty balance
                 break
-            units = unit_tree(other) if isinstance(head, (sx.Addr, sx.Dispose)) else None
-            if units is not None:
-                (balances[head.address] if isinstance(head, sx.Addr) else burned).update(units)
-                break
+            if isinstance(head, (sx.Addr, sx.Dispose)):
+                key = id(other)
+                if key not in trees:
+                    trees[key] = _unit_tree(other)
+                if trees[key] is not None:
+                    uses[head.address if isinstance(head, sx.Addr) else None, key] += 1
+                    break
         else:
             raise NotInLedgerForm(i, txn)
+    for (owner, key), times in uses.items():
+        account = burned if owner is None else balances[owner]
+        for unit, count in trees[key].items():
+            account[unit] += count * times
     return Ledger(
         tuple(
             (address, tuple(sorted(balances[address].items())))

@@ -34,12 +34,19 @@ _METHODS = """
 def __init__(self, {params}):
 {sets}
 {check}
-def _kids(self):
-    return ({kids})
 def _key(self):
     return ({key})
 """
-_REBUILD = """
+# A constructor that skips ``_check``, for layouts that have one.
+_TRUSTED = """
+def trusted({params}):
+    self = _new(_cls)
+{sets}
+    return self
+"""
+_BRANCH = """
+def _kids(self):
+    return ({kids})
 def _rebuild(self, kids):
     new = _new(_cls)
 {rebuilt}
@@ -47,12 +54,11 @@ def _rebuild(self, kids):
 """
 # Without children, equality and hash need no iteration.
 _LEAF = """
-def _rebuild(self, kids):
-    return self
 def __eq__(self, other):
     return self is other or (NotImplemented if type(other) is not _cls else {same})
-def __hash__(self):
-    return hash((_cls, {key}))
+_kids = _no_kids
+_rebuild = _unchanged
+__hash__ = _leaf_hash
 """
 # Compiled code per layout, shared by the classes of one layout, such as
 # the binary connectives.
@@ -77,20 +83,40 @@ def _methods_code(spec: dict, defaulted: tuple, checked: bool):
             key.append(value)
         rebuilt.append(f"    _set_{n}(new, {value})")
     key = "".join(k + ", " for k in key)
+    params = ", ".join(n + (f"=_default_{n}" if n in defaulted else "") for n in spec)
+    sets = "\n".join(f"    _set_{n}(self, {n})" for n in spec)
     source = _METHODS.format(
-        params=", ".join(n + (f"=_default_{n}" if n in defaulted else "") for n in spec),
-        sets="\n".join(f"    _set_{n}(self, {n})" for n in spec),
+        params=params,
+        sets=sets,
         check="    self._check()" if checked else "",
-        kids="".join(k + ", " for k in kids),
         key=key,
     )
+    if checked:
+        source += _TRUSTED.format(params=params, sets=sets)
     if kids:
-        source += _REBUILD.format(rebuilt="\n".join(rebuilt))
+        source += _BRANCH.format(kids="".join(k + ", " for k in kids), rebuilt="\n".join(rebuilt))
     else:
         same = " and ".join(f"self.{n} == other.{n}" for n, role in spec.items() if role is DATA)
-        source += _LEAF.format(same=same or "True", key=key)
+        source += _LEAF.format(same=same or "True")
     code = _COMPILED[layout] = compile(source, "<node methods>", "exec")
     return code
+
+
+def _no_kids(self):
+    return ()
+
+
+def _unchanged(self, kids):
+    return self
+
+
+def _leaf_hash(self):
+    """The hash of a node without children, cached in its ``_hash`` slot."""
+    try:
+        return self._hash
+    except AttributeError:
+        _set_hash(self, hash((type(self), *self._key())))
+        return self._hash
 
 
 def _less(self, other):
@@ -108,6 +134,10 @@ class Node:
     trailing fields defaults, ``_check`` validates what the constructor
     builds, and ``order=True`` orders nodes by their data. ``==`` and the
     cached ``hash`` are iterative, so deep trees are fine.
+
+    ``cls.trusted(...)`` takes the constructor's arguments and skips
+    ``_check``, for values already known to pass it: it is generated for
+    the layouts of checked classes and is the constructor itself elsewhere.
     """
 
     __slots__ = ("_hash",)
@@ -121,26 +151,25 @@ class Node:
         defaults.update(cls.__dict__.get("DEFAULTS", {}))
         cls.__match_args__ = tuple(spec)
         cls._shown = tuple(n for n, role in spec.items() if role is not SPAN)
-        cls._setters = tuple(cls.__dict__[n].__set__ for n in spec)
-        namespace = {"__name__": cls.__module__, "_new": object.__new__, "_cls": cls}
-        namespace.update((f"_set_{n}", setter) for n, setter in zip(spec, cls._setters))
+        namespace = {
+            "__name__": cls.__module__,
+            "_new": object.__new__,
+            "_cls": cls,
+            "_no_kids": _no_kids,
+            "_unchanged": _unchanged,
+            "_leaf_hash": _leaf_hash,
+        }
+        namespace.update((f"_set_{n}", cls.__dict__[n].__set__) for n in spec)
         namespace.update((f"_default_{n}", value) for n, value in defaults.items())
         exec(_methods_code(spec, tuple(defaults), hasattr(cls, "_check")), namespace)
         for name in ("__init__", "_kids", "_key", "_rebuild", "__eq__", "__hash__"):
             if name in namespace:
                 setattr(cls, name, namespace[name])
+        # Without a ``_check``, the constructor trusts its values already.
+        cls.trusted = staticmethod(namespace["trusted"]) if "trusted" in namespace else cls
         if order:
             cls.__lt__ = _less
             functools.total_ordering(cls)
-
-    @classmethod
-    def trusted(cls, *values):
-        """A node of ``values``, in field order, built without the class's
-        ``_check``: for values already known to pass it."""
-        node = object.__new__(cls)
-        for set_field, value in zip(cls._setters, values, strict=True):
-            set_field(node, value)
-        return node
 
     def replace(self, **changes):
         """A copy with the named fields changed, checked like a new node."""

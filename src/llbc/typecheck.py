@@ -29,7 +29,7 @@ from .errors import (
     TypeCheckError,
     TypeMismatchError,
 )
-from .parser import render
+from .parser import render, render_type
 
 DEFAULT_UNIT = "satoshi"
 
@@ -159,10 +159,15 @@ class _Unifier:
         return target, flip ^ t.negated ^ negated
 
     def shown(self, t: sx.LinearType, negated: bool = False) -> str:
-        """``t``, dualised when ``negated``, resolved and rendered for a
-        diagnostic: cut to ``MAX_SHOWN_TYPE`` characters, ``...`` included."""
-        text = render(self.resolve(t, negated))
+        """``t``, dualised when ``negated``, rendered for a diagnostic: cut
+        to ``MAX_SHOWN_TYPE`` characters, ``...`` included. Variables are
+        chased as the text is written, and writing stops at the cut."""
+        text = render_type(t, negated, self._chase, MAX_SHOWN_TYPE)
         return text if len(text) <= MAX_SHOWN_TYPE else text[: MAX_SHOWN_TYPE - 3] + "..."
+
+    def _chase(self, t, negated):
+        node, negated = self.head(t, negated)
+        return (_TVar(node, negated), False) if type(node) is int else (node, negated)
 
     def _mismatch(self, a, a_neg, b, b_neg) -> _UnifyError:
         return _UnifyError(f"{self.shown(a, a_neg)} vs {self.shown(b, b_neg)}")

@@ -1,8 +1,11 @@
 """Chain composition: isolation, zipping, rewiring, JSON, and the bridge
 into the scripting calculus."""
+import hashlib
 import json
+import random
 import re
 import runpy
+from collections import Counter
 
 import pytest
 
@@ -11,6 +14,7 @@ from llbc import chains as ch
 from llbc import parser
 from llbc import reduce as rd
 from llbc import syntax as sx
+from llbc import units
 from llbc.errors import HeightMismatch, IsolationError, LimitError
 from llbc.generate import ChainGenerator
 
@@ -37,6 +41,86 @@ def reference_json(chain):
         ]
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_VALID = {"from": "a", "to": "b", "amount": 1, "unit": "btc"}
+
+
+def _changed(**changes):
+    """The valid transfer object with fields changed; ``...`` drops one."""
+    raw = {**_VALID, **changes}
+    return {key: value for key, value in raw.items() if value is not ...}
+
+
+# Every check of a loaded transfer, in order, with its exact message, as
+# the loader gave them when it built each transfer through the checking
+# constructor. A transfer's fields are checked first, then the name of
+# ``from``, the name of ``to``, distinctness, the amount and the unit.
+_LOADER_ERRORS = [
+    ([5], "block 1, transfer 0: a transfer must be an object, not int"),
+    (["a"], "block 1, transfer 0: a transfer must be an object, not str"),
+    ([None], "block 1, transfer 0: a transfer must be an object, not NoneType"),
+    ([_changed(unit=...)], "block 1, transfer 0: a transfer needs a 'unit' field"),
+    ([_changed(**{"from": ...})], "block 1, transfer 0: a transfer needs a 'from' field"),
+    ([_changed(to=..., amount=...)], "block 1, transfer 0: a transfer needs a 'to' field"),
+    ([_changed(**{"from": 7})], "block 1, transfer 0: transfer field 'from' must be a string, not int"),
+    ([_changed(to=["b"])], "block 1, transfer 0: transfer field 'to' must be a string, not list"),
+    ([_changed(unit=1)], "block 1, transfer 0: transfer field 'unit' must be a string, not int"),
+    ([_changed(**{"from": "12", "to": "12"})], "block 1, transfer 0: invalid address name: '12'"),
+    ([_changed(**{"from": "a-b"})], "block 1, transfer 0: invalid address name: 'a-b'"),
+    ([_changed(to="1")], "block 1, transfer 0: invalid address name: '1'"),
+    ([_changed(to="a")], "block 1, transfer 0: a transfer must move funds between distinct addresses"),
+    ([_changed(to="a", amount=0)], "block 1, transfer 0: a transfer must move funds between distinct addresses"),
+    ([_changed(amount=True)], "block 1, transfer 0: transfer amount must be a positive integer: True"),
+    ([_changed(amount=1.0)], "block 1, transfer 0: transfer amount must be a positive integer: 1.0"),
+    ([_changed(amount=0)], "block 1, transfer 0: transfer amount must be a positive integer: 0"),
+    ([_changed(amount=-3)], "block 1, transfer 0: transfer amount must be a positive integer: -3"),
+    ([_changed(amount="1")], "block 1, transfer 0: transfer amount must be a positive integer: '1'"),
+    ([_changed(amount=None)], "block 1, transfer 0: transfer amount must be a positive integer: None"),
+    ([_changed(unit="b-t-c")], "block 1, transfer 0: invalid currency unit token: 'b-t-c'"),
+    ([_changed(unit="")], "block 1, transfer 0: invalid currency unit token: ''"),
+    ([_changed(unit="12", amount=0)], "block 1, transfer 0: transfer amount must be a positive integer: 0"),
+    ([_changed(memo="x")], None),
+    ([_VALID, _VALID, _changed(unit="no way")], "block 1, transfer 2: invalid currency unit token: 'no way'"),
+    (
+        [_VALID, _changed(unit="satoshi"), _changed(to="a")],
+        "block 1, transfer 2: a transfer must move funds between distinct addresses",
+    ),
+]
+
+
+def _ledger_programs():
+    """``chain_to_program`` of generated chains, each followed by a copy
+    with extra transactions in shuffled order: shared literals burned on
+    either side, recipients disposed, sides swapped and a literal of two
+    units assigned, plus an address that is only disposed."""
+    rng = random.Random(11)
+    mixed = sx.Iso(sx.Unit("btc"), sx.Iso(sx.Unit("satoshi"), sx.Unit("btc")))
+    for seed in range(6):
+        program = ch.chain_to_program(ChainGenerator(seed).chain(40 + 30 * seed, transfers_per_block=3))
+        yield program
+        pending = list(program.pending)
+        for txn in program.pending:
+            roll = rng.randrange(6)
+            if roll == 0:
+                pending.append(sx.Transaction(sx.Dispose(), txn.right))
+            elif roll == 1:
+                pending.append(sx.Transaction(txn.right, sx.Dispose()))
+            elif roll == 2:
+                pending.append(sx.Transaction(txn.left, sx.Dispose()))
+            elif roll == 3:
+                pending.append(sx.Transaction(txn.right, txn.left))
+            elif roll == 4:
+                pending.append(sx.Transaction(txn.left, mixed))
+        pending.append(sx.Transaction(sx.Addr(A(f"idle{seed}")), sx.Dispose()))
+        pending.append(sx.Transaction(sx.Dispose(), mixed))
+        rng.shuffle(pending)
+        yield sx.Program(program.interface, tuple(pending))
+
+
+# sha256 of the ledgers' reprs, one a line, from the read-back that
+# updated a Counter once per transaction.
+_LEDGER_DIGEST = "f54cd85bbfc389e778119adea1f851556ea910ac0c81c54849e41f6b7b217ab5"
 
 
 @pytest.fixture
@@ -384,6 +468,39 @@ class TestJson:
         chain = ch.chain_from_json('{"blocks": [], "note": "' + "[]" * 500 + '"}')
         assert chain == ch.Chain(())
 
+    @pytest.mark.parametrize("transfers, msg", _LOADER_ERRORS)
+    def test_loader_messages(self, transfers, msg):
+        # The first block is valid, so every message names block 1.
+        text = json.dumps({"blocks": [{"transfers": [_VALID]}, {"transfers": transfers}]})
+        if msg is None:
+            assert ch.chain_from_json(text).height == 2
+        else:
+            with pytest.raises(ValueError) as caught:
+                ch.chain_from_json(text)
+            assert str(caught.value) == msg
+
+    def test_loaded_chain_equals_checked_rebuild(self):
+        # The loader builds transfers without running Transfer's check;
+        # rebuilding each one through the checking constructor, from fresh
+        # addresses, must give the same chain.
+        generator = ChainGenerator(seed=12, units=("btc", "satoshi", "doge", "unit_7"))
+        chains = [generator.chain(i * 7, transfers_per_block=1 + i % 3, prefix=f"p{i}_") for i in range(30)]
+        chains += [ch.compose_rewire(chains[5], chains[9]).chain, ch.Chain((ch.Block(()),) * 3)]
+        for chain in chains:
+            loaded = ch.chain_from_json(ch.chain_to_json(chain))
+            checked = ch.Chain(
+                tuple(
+                    ch.Block(
+                        tuple(
+                            ch.Transfer(A(t.source.name), A(t.target.name), t.amount, t.unit)
+                            for t in block.transfers
+                        )
+                    )
+                    for block in loaded.blocks
+                )
+            )
+            assert loaded == checked == chain
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ch.chain_from_json('{"blocks": [{"transfers": [{"from": "a", "to": "a", "amount": 1, "unit": "btc"}]}]}')
@@ -391,6 +508,64 @@ class TestJson:
             ch.chain_from_json('{"blocks": [{"transfers": [{"from": "a", "to": "b", "amount": 0, "unit": "btc"}]}]}')
         with pytest.raises(ValueError):
             ch.chain_from_json('[]')
+
+
+class TestLoaderWork:
+    """What loading a chain checks, counted through wrappers rather than
+    timed: each distinct address name and unit is matched once, and
+    Transfer's own check never runs."""
+
+    def test_each_distinct_name_and_unit_is_matched_once(self, monkeypatch):
+        chain = ChainGenerator(seed=8, units=("btc", "satoshi", "doge")).chain(300, transfers_per_block=3)
+        text = ch.chain_to_json(chain)
+        matched = []
+        name_re = units.NAME_RE
+
+        class Counting:
+            def match(self, string):
+                matched.append(string)
+                return name_re.match(string)
+
+        checks = []
+        transfer_check = ch.Transfer._check
+
+        def counting_check(self):
+            checks.append(self)
+            transfer_check(self)
+
+        monkeypatch.setattr(units, "NAME_RE", Counting())
+        monkeypatch.setattr(sx, "NAME_RE", Counting())
+        monkeypatch.setattr(ch.Transfer, "_check", counting_check)
+        loaded = ch.chain_from_json(text)
+        names = {a.name for a in ch.addresses(loaded)}
+        used_units = {t.unit for block in loaded.blocks for t in block.transfers}
+        assert Counter(matched) == Counter(names) + Counter(used_units)
+        assert len(matched) == len(names) + len(used_units) == len(names) + 3
+        assert len(matched) * 20 < sum(len(block.transfers) for block in loaded.blocks)
+        assert checks == []
+        # The wrappers see what the checking constructor does.
+        transfer("a", "b", 1)
+        assert matched[-3:] == ["a", "b", "btc"] and len(checks) == 1
+
+    def test_trusted_without_a_check_is_the_constructor(self):
+        transfers = (transfer("a", "b", 2), transfer("b", "c", 3, "satoshi"))
+        assert ch.Block.trusted is ch.Block and ch.Chain.trusted is ch.Chain
+        for cls, values in (
+            (ch.Block, (transfers,)),
+            (ch.Chain, ((ch.Block(transfers), ch.Block(())),)),
+            (sx.Addr, (A("a"),)),
+            (sx.Iso, (sx.Unit("btc"), sx.Unit("satoshi"))),
+        ):
+            trusted, built = cls.trusted(*values), cls(*values)
+            assert type(trusted) is cls and trusted == built
+            assert repr(trusted) == repr(built)
+
+    def test_trusted_with_a_check_skips_only_the_check(self):
+        source, target = A("a"), A("b")
+        assert ch.Transfer.trusted(source, target, 4, "btc") == ch.Transfer(source, target, 4, "btc")
+        unchecked = ch.Transfer.trusted(source, source, 0, "no unit")
+        assert (unchecked.source, unchecked.amount, unchecked.unit) == (source, 0, "no unit")
+        assert sx.Address.trusted("x") == sx.Address("x") and sx.Address.trusted("x").path == ()
 
 
 class TestBridge:
@@ -454,6 +629,13 @@ class TestBridge:
         assert len(isos) == sum(amount - 1 for amount, _ in pairs)
         assert len(isos) * 50 < total
         assert len({id(txn.right) for txn in program.pending}) == len(pairs)
+
+    def test_readback_digest(self):
+        ledgers = [rd.readback_ledger(p) for p in _ledger_programs()]
+        assert any(ledger.burned for ledger in ledgers)
+        assert any(units == () for ledger in ledgers for _, units in ledger.balances)
+        text = "\n".join(repr(ledger) for ledger in ledgers)
+        assert hashlib.sha256(text.encode()).hexdigest() == _LEDGER_DIGEST
 
     def test_shared_literal_counts_once_per_transaction(self):
         literal = sx.Iso(sx.Unit("btc"), sx.Unit("btc"))

@@ -67,6 +67,26 @@ class TestCheck:
         assert err.startswith("ERROR kind=type-mismatch span=2:36 msg=\"disposal cannot have type ")
         assert err.count("\n") == 1
         assert len(err.encode()) < 4096
+        # The line as it was when the whole type was resolved and rendered
+        # before the cut.
+        shown = ("satoshi^ # " * 100)[:997] + "..."
+        assert err == f'ERROR kind=type-mismatch span=2:36 msg="disposal cannot have type {shown}"\n'
+
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            ("(){ txn(_, satoshi) }\n", 'span=1:12 msg="expected type does not fit: !T1^ vs satoshi"'),
+            (
+                "(){ txn(inl(satoshi), satoshi) }\n",
+                'span=1:23 msg="expected type does not fit: satoshi^ & T2^ vs satoshi"',
+            ),
+        ],
+    )
+    def test_short_mismatch_line(self, capsys, tmp_path, source, line):
+        script = tmp_path / "short.llbc"
+        script.write_text(source)
+        code, out, err = run_cli(capsys, "check", str(script))
+        assert (code, out, err) == (1, "", f"ERROR kind=type-mismatch {line}\n")
 
     @pytest.mark.parametrize(
         "source",

@@ -149,6 +149,31 @@ class TestTypeSyntax:
         assert parser.render(right) == "satoshi * (" * (n - 2) + "satoshi * satoshi" + ")" * (n - 2)
         assert parser.render(sx.WhyNot(right)).startswith("?(satoshi * (satoshi")
 
+    def test_render_type_reads_a_dual(self):
+        rng = random.Random(3)
+        atoms = [sx.Atom("satoshi"), sx.Atom("btc", True)]
+        kinds = [sx.Tensor, sx.Par, sx.With, sx.Plus, sx.OfCourse, sx.WhyNot]
+        for _ in range(200):
+            t = rng.choice(atoms)
+            for _ in range(rng.randrange(12)):
+                kind = rng.choice(kinds)
+                other = rng.choice(atoms)
+                if kind in (sx.OfCourse, sx.WhyNot):
+                    t = kind(t)
+                else:
+                    t = kind(other, t) if rng.random() < 0.5 else kind(t, other)
+            assert parser.render_type(t, True) == parser.render(sx.dual(t))
+
+    def test_render_type_stops_past_its_limit(self):
+        deep = sx.Atom("satoshi")
+        for _ in range(20000):
+            deep = sx.Tensor(deep, sx.Atom("satoshi"))
+        whole = parser.render_type(deep, True)
+        head = parser.render_type(deep, True, limit=1000)
+        assert 1000 < len(head) < 1100 and whole.startswith(head)
+        short = parser.parse_type("!(satoshi + btc)")
+        assert parser.render_type(short, limit=len("!(satoshi + btc)")) == "!(satoshi + btc)"
+
     def test_dual_is_negation_normal(self):
         t = parser.parse_type("(satoshi * (btc & doge))^")
         assert t == sx.Par(

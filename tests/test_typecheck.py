@@ -672,3 +672,29 @@ class TestUnifier:
         unifier.head(v[0])  # compresses the whole chain
         unifier.default_leftovers()
         assert [parser.render(unifier.resolve(var)) for var in v] == expected
+
+    @pytest.mark.parametrize("size", [1, 6, 60, 400])
+    def test_shown_is_the_cut_rendering(self, size):
+        # shown writes only the head of a type, chasing variables as it
+        # goes; it must agree with resolving the whole type and cutting its
+        # rendering.
+        rng = random.Random(size)
+        unifier = tc._Unifier()
+        leaves = [sx.Atom("satoshi"), sx.Atom("btc", True), unifier.fresh()]
+        kinds = [sx.Tensor, sx.Par, sx.With, sx.Plus, sx.OfCourse, sx.WhyNot]
+        top = leaves[0]
+        for _ in range(size):
+            node, slots = unifier.shaped(rng.choice(kinds))
+            chained = rng.randrange(len(slots))
+            for i, slot in enumerate(slots):
+                value = top if i == chained else rng.choice(leaves)
+                unifier.unify(slot, unifier.neg(value) if rng.random() < 0.3 else value)
+            top = node
+
+        def cut(text):
+            return text if len(text) <= tc.MAX_SHOWN_TYPE else text[: tc.MAX_SHOWN_TYPE - 3] + "..."
+
+        for negated in (False, True):
+            whole = parser.render(unifier.resolve(top, negated))
+            assert unifier.shown(top, negated) == cut(whole)
+        assert (len(whole) > tc.MAX_SHOWN_TYPE) == (size >= 400)
