@@ -232,14 +232,6 @@ def _check_nesting(text: str) -> None:
         raise LimitError(f"chain JSON nests deeper than {MAX_JSON_NESTING} levels")
 
 
-class _Interned(dict):
-    """Each distinct address name's node, validated and built on first use."""
-
-    def __missing__(self, name: str) -> sx.Address:
-        found = self[name] = sx.Address(name)
-        return found
-
-
 def chain_from_json(text: str) -> Chain:
     """Load a chain. Input nested deeper than ``MAX_JSON_NESTING`` raises
     :class:`LimitError`; anything else that is not a valid chain raises
@@ -252,7 +244,7 @@ def chain_from_json(text: str) -> Chain:
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("blocks"), list):
         raise ValueError("chain JSON must be an object with a 'blocks' array")
-    address = _Interned()
+    address = sx.Interned()
     units: set[str] = set()
     blocks = []
     for i, raw_block in enumerate(payload["blocks"]):

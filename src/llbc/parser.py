@@ -166,6 +166,7 @@ class _Parser:
         self.units = units
         self.depth = 0
         self.literals = 0
+        self.addresses = sx.Interned()
 
     # -- token plumbing ----------------------------------------------------
 
@@ -350,15 +351,12 @@ class _Parser:
 
     def address_suffix(self, tok: tuple) -> sx.Address:
         path: list[str] = []
-        while self.at("DOT"):
-            nxt = self.peek(1)
-            if nxt[KIND] == "IDENT" and nxt[TEXT] in ("l", "r"):
-                self.next()
-                path.append(self.next()[TEXT])
-            else:
-                break
+        # Only a word token has the text "l" or "r".
+        while self.at("DOT") and self.peek(1)[TEXT] in ("l", "r"):
+            self.next()
+            path.append(self.next()[TEXT])
         try:
-            return sx.Address(tok[TEXT], tuple(path))
+            return self.addresses[(tok[TEXT], tuple(path)) if path else tok[TEXT]]
         except ValueError as err:
             raise ParseError(str(err), _span(tok)) from err
 

@@ -27,11 +27,10 @@ mediator is the first whole side of the left one that the right one has.
 run; well-typed programs always finish within it or the type checker was
 wrong.
 
-``find_redexes`` and ``step`` are the reference one-step interface: each
-call looks at the whole program. ``normalize`` instead keeps an
-incremental redex index (``_RedexIndex``) and fires the same redexes in
-the same order, so its ``--trace`` lines are byte-identical to a
-``find_redexes(p)[0]``/``step`` loop. Untraced, the cost per step grows
+``find_redexes`` and ``step`` are the reference one-step interface, each
+call looking at the whole program. ``normalize`` fires the same redexes
+in the same order through an incremental index (``_RedexIndex``), so its
+``--trace`` lines are byte-identical; untraced, its cost per step grows
 only logarithmically with the length of the pending list.
 """
 from __future__ import annotations
@@ -147,13 +146,12 @@ def _bare(txn: sx.Transaction) -> tuple[sx.Address, ...]:
     return tuple(side.address for side in (txn.left, txn.right) if type(side) is sx.Addr)
 
 
-def _fusable(bi: tuple, bj: tuple, address: sx.Address, occurrences: int) -> bool:
-    """Whether two transactions with whole sides ``bi`` and ``bj`` (see
-    ``_bare``), both holding ``address``, may fuse over it, given its
-    surface-occurrence count. The mediator's two occurrences being those
-    two whole sides is what linearity gives on typed programs; a self-loop
-    ``txn(x, x)`` arises when a spend deliberately re-uses an address for a
-    coin that stays put."""
+def _fusable(bi: tuple, bj: tuple, address, occurrences: int) -> bool:
+    """Whether two transactions with whole sides ``bi`` and ``bj`` (the
+    ``_bare`` addresses or their keys), both holding ``address``, may fuse
+    over it, given its surface-occurrence count. Those two sides being its
+    only occurrences is what linearity gives on typed programs; a
+    self-loop ``txn(x, x)`` re-uses an address for a coin that stays put."""
     return (
         (len(bi) == 2 and bi[0] == bi[1])
         or (len(bj) == 2 and bj[0] == bj[1])
@@ -162,17 +160,22 @@ def _fusable(bi: tuple, bj: tuple, address: sx.Address, occurrences: int) -> boo
 
 
 def _fuse(ti: sx.Transaction, tj: sx.Transaction, bi: tuple, bj: tuple):
-    """``ti`` and ``tj``, with whole sides ``bi`` and ``bj``, joined over
-    the first of ``bi`` that is in ``bj``; None when they share none."""
+    """``(mediator, fused, its whole sides)`` for ``ti`` and ``tj``, with
+    whole sides ``bi`` and ``bj`` (as for ``_fusable``), joined over the
+    first of ``bi`` in ``bj``; None if there is none. Each keeps, as the
+    same object, its side that is not the mediator (the left if both are)."""
     mediator = next((address for address in bi if address in bj), None)
     if mediator is None:
         return None
-
-    def other(txn):
-        right = txn.right
-        return txn.left if type(right) is sx.Addr and right.address == mediator else right
-
-    return sx.Transaction(other(ti), other(tj))
+    kept, whole = [], ()
+    for txn, sides in ((ti, bi), (tj, bj)):
+        if type(txn.right) is sx.Addr and sides[-1] == mediator:
+            kept.append(txn.left)
+            whole += sides[:-1]
+        else:
+            kept.append(txn.right)
+            whole += sides[1:]
+    return mediator, sx.Transaction(*kept), whole
 
 
 def _mediator_pairs(p: sx.Program):
@@ -227,10 +230,10 @@ def step_with_effect(p: sx.Program, r: Redex) -> tuple[sx.Program, StepEffect]:
         if r.partner is None or not (0 <= r.pos < r.partner < len(pending)):
             raise ValueError(f"not a Transaction redex of {render(p)}: {r}")
         ti, tj = pending[r.pos], pending[r.partner]
-        fused = _fuse(ti, tj, _bare(ti), _bare(tj))
-        if fused is None:
+        fusion = _fuse(ti, tj, _bare(ti), _bare(tj))
+        if fusion is None:
             raise ValueError(f"transactions {r.pos} and {r.partner} share no mediator")
-        residue = [fused]
+        residue = [fusion[1]]
         del pending[r.partner]
     else:
         match = _match_local(pending[r.pos])
@@ -263,58 +266,62 @@ class NormalizeResult(sx.Node):
 DEFAULT_FUEL = 10**6
 
 
+class _Live:
+    """A transaction in the index: label, node, whole-side keys, alive flag."""
+
+    __slots__ = ("label", "txn", "sides", "alive")
+
+    def __init__(self, label, txn, sides):
+        self.label, self.txn, self.sides, self.alive = label, txn, sides, True
+
+
 class _RedexIndex:
     """The pending list of a program under normalization, indexed so that
     each step finds the leftmost redex without rescanning the program.
 
-    ``live`` maps labels to transactions. A label is a tuple of ints that
-    sorts like the transaction's pending position and stays fixed while the
-    transaction lives: the residue of a local rule fired at ``L`` is
-    labelled ``L + (0,)``, ``L + (1,)``, ..., which sorts between ``L``'s
-    neighbours, and a fusion keeps the left transaction's label. Positions
-    are ranks among the live labels, computed only for a trace line or a
-    program.
-
-    ``sides`` holds each live label's ``_bare`` tuple, taken once when its
-    transaction enters, and ``bare`` the labels holding each address as a
-    whole side. With ``occurrences``, the surface-occurrence count per
-    address over the interface and the pending list, they decide the
-    Transaction rule (``_fusable``).
+    ``live`` holds a record (``_Live``) per transaction, labelled by a
+    tuple of ints that sorts like its pending position and stays fixed:
+    the residue of a local rule fired at ``L`` is labelled ``L + (0,)``,
+    ``L + (1,)``, ..., between ``L``'s neighbours, and a fusion keeps the
+    left label. Positions are ranks among live labels, computed only for a
+    trace line or a program. Each address gets an int key on first sight;
+    ``occurrences`` (surface-occurrence counts) and ``bare`` (the records
+    holding the address as a whole side) are keyed by it.
 
     ``heap`` holds candidate redexes keyed ``(label, rule priority,
-    partner label)``, the order of ``Redex.sort_key``. A local entry
-    carries its ``_match_local`` match; a pair entry carries its partner
-    and the address it was queued under. An entry is checked only when it
-    reaches the top, and dropped if one of its transactions is gone or its
-    mediator's count has moved. Every redex of the current program has an
-    entry: a redex depends only on its transactions and on its mediator's
-    count, and each step re-examines the transactions it produced and the
-    addresses whose count it changed.
+    partner label)``, the order of ``Redex.sort_key``, with their records
+    and local match or pair key. An entry is checked when it reaches the
+    top, and dropped if a record is dead or its mediator's count moved.
+    Every redex has an entry: a redex depends only on its transactions and
+    its mediator's count, and each step queues the new records' redexes
+    and the pairs over each key whose count moved. A fusion keeps the
+    other sides as the same objects, so it moves only the mediator's
+    count, by two, and hashes no address; a local rule counts the
+    addresses of the transactions that leave and enter.
     """
 
     def __init__(self, p: sx.Program):
-        self.interface = p.interface
-        self.span = p.span
-        self.live: dict[tuple[int, ...], sx.Transaction] = {}
-        self.sides: dict[tuple[int, ...], tuple[sx.Address, ...]] = {}
-        self.bare: dict[sx.Address, set[tuple[int, ...]]] = {}
-        self.occurrences: dict[sx.Address, int] = {}
+        self.interface, self.span = p.interface, p.span
+        self.live: set[_Live] = set()
+        self.keys: dict[sx.Address, int] = defaultdict(count().__next__)
+        self.occurrences: dict[int, int] = defaultdict(int)
+        self.bare: dict[int, set[_Live]] = defaultdict(set)
         self.heap: list = []
         self.tiebreak = count()
         for entry in p.interface:
             for address in sx.surface_addresses(entry):
-                self.occurrences[address] = self.occurrences.get(address, 0) + 1
-        self._replace([], [((i,), txn) for i, txn in enumerate(p.pending)])
+                self.occurrences[self.keys[address]] += 1
+        self._replace((), (), p.pending)
 
     def leftmost(self):
         """The heap entry of the leftmost redex, or None in normal form."""
-        heap, live, sides, occurrences = self.heap, self.live, self.sides, self.occurrences
+        heap, occurrences = self.heap, self.occurrences
         while heap:
-            label, _, other, _, txn, partner, address = heap[0]
-            if live.get(label) is txn and (
+            record, partner, key = heap[0][4:]
+            if record.alive and (
                 partner is None
-                or live.get(other) is partner
-                and _fusable(sides[label], sides[other], address, occurrences.get(address, 0))
+                or partner.alive
+                and _fusable(record.sides, partner.sides, key, occurrences[key])
             ):
                 return heap[0]
             heapq.heappop(heap)
@@ -323,81 +330,74 @@ class _RedexIndex:
     def redex(self, entry) -> Redex:
         """``entry`` as find_redexes would report it, with positions."""
         label, priority, partner_label, _, _, partner, _ = entry
-        order = sorted(self.live)
+        order = sorted(record.label for record in self.live)
         partner_pos = None if partner is None else bisect_left(order, partner_label)
         return Redex(RULE_ORDER[priority], bisect_left(order, label), partner_pos)
 
     def fire(self, entry, effect: StepEffect) -> None:
         """Fire the entry ``leftmost`` returned; its units go to ``effect``."""
         heapq.heappop(self.heap)
-        label, _, other, _, txn, partner, match = entry
+        label, _, _, _, record, partner, match = entry
         if partner is None:
-            residue = _rewrite(match, effect)
-            self._replace([(label, txn)], [(label + (k,), t) for k, t in enumerate(residue)])
+            self._replace((record,), label, _rewrite(match, effect))
         else:
-            fused = _fuse(txn, partner, self.sides[label], self.sides[other])
-            self._replace([(label, txn), (other, partner)], [(label, fused)])
+            mediator, fused, sides = _fuse(record.txn, partner.txn, record.sides, partner.sides)
+            self.occurrences[mediator] -= 2
+            self._enter((record, partner), [_Live(label, fused, sides)], (mediator,))
 
     def program(self) -> sx.Program:
-        pending = tuple(self.live[label] for label in sorted(self.live))
+        pending = tuple(r.txn for r in sorted(self.live, key=lambda r: r.label))
         return sx.Program(self.interface, pending, span=self.span)
 
-    def _replace(self, removed, added):
-        """Swap the ``removed`` (label, transaction) pairs for the ``added``
-        ones, then queue every redex that may have appeared."""
-        live, sides, bare, occurrences = self.live, self.sides, self.bare, self.occurrences
-        for label, _ in removed:
-            del live[label]
-            for address in sides.pop(label):
-                bare[address].discard(label)
-        for label, txn in added:
-            live[label] = txn
-            sides[label] = whole = _bare(txn)
-            for address in whole:
-                bare.setdefault(address, set()).add(label)
+    def _replace(self, removed, label, residue):
+        """Swap the ``removed`` records for records of the ``residue``
+        transactions, labelled ``label + (0,)``, ``label + (1,)``, ...,
+        moving the occurrence counts by the addresses that leave and enter."""
+        key_of = self.keys.__getitem__
+        delta: dict[int, int] = defaultdict(int)
+        for record in removed:
+            for address in sx.surface_addresses(record.txn):
+                delta[key_of(address)] -= 1
+        for txn in residue:
+            for address in sx.surface_addresses(txn):
+                delta[key_of(address)] += 1
+        changed = [key for key, d in delta.items() if d]
+        for key in changed:
+            self.occurrences[key] += delta[key]
+        new = [_Live(label + (k,), t, tuple(map(key_of, _bare(t)))) for k, t in enumerate(residue)]
+        self._enter(removed, new, changed)
 
-        # Occurrence counts change only by the sides that are not carried
-        # over as the very same object, so only those are walked.
-        gone = [side for _, txn in removed for side in (txn.left, txn.right)]
-        delta: dict[sx.Address, int] = {}
-        for _, txn in added:
-            for side in (txn.left, txn.right):
-                for k, old in enumerate(gone):
-                    if old is side:
-                        del gone[k]
-                        break
-                else:
-                    for address in sx.surface_addresses(side):
-                        delta[address] = delta.get(address, 0) + 1
-        for side in gone:
-            for address in sx.surface_addresses(side):
-                delta[address] = delta.get(address, 0) - 1
-        changed = [address for address, d in delta.items() if d]
-        for address in changed:
-            occurrences[address] = occurrences.get(address, 0) + delta[address]
-
-        fresh = {label for label, _ in added}
-        for label, txn in added:
-            match = _match_local(txn)
+    def _enter(self, removed, records, changed):
+        """Retire the ``removed`` records, queue the pairs already there
+        over each ``changed`` key, then make ``records`` live one by one,
+        queueing their redexes."""
+        live, bare = self.live, self.bare
+        for record in removed:
+            record.alive = False
+            live.remove(record)
+            for key in record.sides:
+                bare[key].discard(record)
+        for key in changed:
+            for record, other in combinations(bare[key], 2):
+                self._queue_pair(key, record, other)
+        for record in records:
+            match = _match_local(record.txn)
             if match is not None:
-                key = (label, _PRIORITY[match[0].name], (), next(self.tiebreak))
-                heapq.heappush(self.heap, (*key, txn, None, match))
-            for address in sides[label]:
-                for other in bare[address]:
-                    # Pairs of two fresh transactions are queued once.
-                    if other != label and not (other in fresh and other < label):
-                        self._queue_pair(address, label, other)
-        for address in changed:
-            stale = [label for label in bare.get(address, ()) if label not in fresh]
-            for label, other in combinations(stale, 2):
-                self._queue_pair(address, label, other)
+                entry = (record.label, _PRIORITY[match[0].name], (), next(self.tiebreak))
+                heapq.heappush(self.heap, (*entry, record, None, match))
+            for key in record.sides:
+                for other in bare[key]:
+                    self._queue_pair(key, record, other)
+            for key in record.sides:
+                bare[key].add(record)
+        live.update(records)
 
-    def _queue_pair(self, address, label, other):
-        if other < label:
-            label, other = other, label
-        if _fusable(self.sides[label], self.sides[other], address, self.occurrences.get(address, 0)):
-            key = (label, 0, other, next(self.tiebreak))
-            heapq.heappush(self.heap, (*key, self.live[label], self.live[other], address))
+    def _queue_pair(self, key, record, other):
+        if other.label < record.label:
+            record, other = other, record
+        if _fusable(record.sides, other.sides, key, self.occurrences[key]):
+            entry = (record.label, 0, other.label, next(self.tiebreak), record, other, key)
+            heapq.heappush(self.heap, entry)
 
 
 def normalize(

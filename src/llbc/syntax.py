@@ -271,6 +271,16 @@ class Address(Node, order=True):
         return self.name + "".join("." + side for side in self.path)
 
 
+class Interned(dict):
+    """Address nodes by name, or by ``(name, path)``, each checked and
+    built on first use, so equal addresses read through one table are one
+    object. A front end keeps one table per parse or load."""
+
+    def __missing__(self, key) -> Address:
+        found = self[key] = Address(key) if type(key) is str else Address(*key)
+        return found
+
+
 # ---------------------------------------------------------------------------
 # Types
 

@@ -79,6 +79,38 @@ def pipeline(n, k, rng):
     return parser.parse_program(f"(a0){{ {'; '.join(txns)} }}")
 
 
+def constructed_pipeline(n, k, rng, loops=()):
+    """``pipeline`` built with constructors, with a self-loop ``txn(xi, xi)``
+    added for each ``i`` in ``loops``: every occurrence of an address is its
+    own ``Address`` object."""
+
+    def addr(name):
+        return sx.Addr(sx.Address(name))
+
+    txns = [sx.Transaction(addr("a0"), addr("x1"))]
+    txns += [sx.Transaction(addr(f"x{i}"), addr(f"x{i + 1}")) for i in range(1, n)]
+    txns.append(sx.Transaction(addr(f"x{n}"), sx.amount_literal(k, "satoshi")))
+    txns += [sx.Transaction(addr(f"x{i}"), addr(f"x{i}")) for i in loops]
+    rng.shuffle(txns)
+    return sx.Program((addr("a0"),), tuple(txns))
+
+
+def uninterned(p):
+    """``p`` with every address occurrence and binder a fresh ``Address``."""
+
+    def fresh(address):
+        return sx.Address(address.name, address.path)
+
+    def rebuilt(node, kids):
+        if type(node) is sx.Addr:
+            return sx.Addr(fresh(node.address), span=node.span)
+        if type(node) in (sx.Choose, sx.Bang):
+            node = node.replace(bound=tuple(map(fresh, node.bound)))
+        return sx.rebuild(node, kids)
+
+    return sx.fold(p, rebuilt)
+
+
 def generated(seed, count, bias):
     generator = ProgramGenerator(seed=seed, config=GenConfig(exponential_bias=bias))
     return [generator.typed_program().program for _ in range(count)]
@@ -137,6 +169,91 @@ class TestDifferential:
         assert_same_run(p, rd.DEFAULT_FUEL)
         assert_same_run(p, 100)
         assert rd.normalize(p).steps > 90
+
+
+class TestAddressIdentity:
+    """The index keys addresses by value: runs over programs whose equal
+    addresses are distinct objects match the one-step reference exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
+    def test_constructed_pipelines(self, n):
+        rng = random.Random(f"constructed/{n}")
+        for _ in range(3):
+            p = constructed_pipeline(n, rng.randrange(1, 6), rng)
+            found = [node.address for node in sx.walk(p) if type(node) is sx.Addr]
+            assert len({id(a) for a in found}) == len(found) > len(set(found))
+            for fuel in (rd.DEFAULT_FUEL, 0, 1, n // 2, n - 1):
+                assert_same_run(p, fuel)
+
+    def test_copy_heavy_programs(self):
+        # Copy renames a box's addresses with .l/.r marks, so those
+        # addresses are born mid-run, one object per occurrence.
+        copying = 0
+        for p in generated(seed=7, count=300, bias=0.9):
+            q = uninterned(p)
+            assert q == p
+            kinds = {t.redex.kind for t in rd.normalize(q, trace=True).trace}
+            if "Copy" not in kinds:
+                continue
+            copying += 1
+            for fuel in (rd.DEFAULT_FUEL, 1, 3, 8):
+                assert_same_run(q, fuel, lines=False)
+        assert copying >= 20
+
+    @pytest.mark.parametrize("n", [3, 10, 40])
+    def test_self_loops(self, n):
+        rng = random.Random(f"loops/{n}")
+        for _ in range(3):
+            loops = rng.sample(range(1, n + 1), max(1, n // 4))
+            p = constructed_pipeline(n, 2, rng, loops)
+            for fuel in (rd.DEFAULT_FUEL, 0, 2, n // 2, n):
+                assert_same_run(p, fuel)
+            steps = rd.normalize(p).steps
+            assert steps >= n
+            assert_same_run(p, steps - 1)
+        for src in (
+            "(a, b){ txn(x, x); txn(a, x); txn(x, b) }",
+            "(a, b){ txn(a, x); txn(x, b); txn(x, x) }",
+            "(a){ txn(x, x); txn(x, x); txn(a, x) }",
+            "(a, b){ txn(y, y); txn(a, x); txn(x, y); txn(y, b) }",
+        ):
+            p = uninterned(parser.parse_program(src))
+            for fuel in (rd.DEFAULT_FUEL, 0, 1, 2):
+                assert_same_run(p, fuel)
+
+
+class TestWorkGate:
+    """Deterministic work counts of the index on shuffled pipelines. After
+    the index is built, a pure fusion run walks no side, and each fusion
+    queues at most two heap entries."""
+
+    @pytest.mark.parametrize("n", [200, 1600])
+    @pytest.mark.parametrize("build", ["parsed", "constructed"])
+    def test_fusion_runs(self, n, build, monkeypatch):
+        rng = random.Random(f"work/{n}")
+        p = pipeline(n, 3, rng) if build == "parsed" else constructed_pipeline(n, 3, rng)
+        counts = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        build_index = rd._RedexIndex.__init__
+
+        def init(self, program):
+            build_index(self, program)
+            counts["built"] = counts["surface_addresses"]
+
+        monkeypatch.setattr(sx, "surface_addresses", counting("surface_addresses", sx.surface_addresses))
+        monkeypatch.setattr(rd.heapq, "heappush", counting("heappush", rd.heapq.heappush))
+        monkeypatch.setattr(rd._RedexIndex, "__init__", init)
+        result = rd.normalize(p)
+        assert result.steps == n
+        assert counts["surface_addresses"] - counts["built"] == 0
+        assert counts["heappush"] <= n + 2 * result.steps, counts
 
 
 def _pinned_record(p, fuel):

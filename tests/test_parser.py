@@ -1,4 +1,5 @@
 """Concrete syntax: golden parses, precedence, spans, and round trips."""
+import gc
 import hashlib
 import random
 import time
@@ -609,4 +610,75 @@ class TestPinnedParse:
         assert outcomes == {"ok": 305, "error": 445}
         assert digest.hexdigest() == (
             "00fbe927fe4388b935b24474af2b4e84187677ea4f3a2c09e2b408bf8cb0d19e"
+        )
+
+
+def _addresses(program):
+    """Every Address object in ``program``: occurrences and box binders."""
+    out = []
+    for node in sx.walk(program):
+        if type(node) is sx.Addr:
+            out.append(node.address)
+        elif type(node) in (sx.Choose, sx.Bang):
+            out.extend(node.bound)
+    return out
+
+
+class TestInterning:
+    """Each parse interns its addresses: equal addresses are one object
+    within it and share nothing with any other parse."""
+
+    SCRIPT = (
+        "-- types: satoshi\n"
+        "(a){ txn(a, x); txn(x, !(y, x.l){ (z, y, x.l){ txn(z, y.r); txn(y.r, x.l) } });"
+        " txn(choose(q, y){ (q, y){ txn(q, x.l) }; (q, y){ txn(q, _) } }, x.l) }"
+    )
+
+    def test_equal_addresses_in_one_parse_are_one_object(self):
+        program, _ = parser.parse_script(self.SCRIPT)
+        found = _addresses(program)
+        by_value: dict = {}
+        for address in found:
+            by_value.setdefault(address, set()).add(id(address))
+        assert len(found) > len(by_value) > 5
+        assert all(len(ids) == 1 for ids in by_value.values())
+
+    def test_two_parses_share_no_address(self):
+        first, _ = parser.parse_script(self.SCRIPT)
+        second, _ = parser.parse_script(self.SCRIPT)
+        assert first == second
+        assert not {id(a) for a in _addresses(first)} & {id(a) for a in _addresses(second)}
+        assert {id(a) for a in _addresses(parser.parse_expression("x.l @ x.l"))}.isdisjoint(
+            id(a) for a in _addresses(first)
+        )
+
+    def test_no_table_outlives_its_parse(self):
+        def live_addresses():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is sx.Address)
+
+        before = live_addresses()
+        for k in range(50):
+            parser.parse_script(f"(a{k}){{ txn(a{k}, b{k}); txn(b{k}, c{k}.l) }}")
+        assert live_addresses() - before <= 0
+
+    # Recorded before addresses were interned: message, span begin, end,
+    # line and column.
+    BAD_ADDRESSES = [
+        ("(café){}", "invalid address name: 'café'", 1, 5, 1, 2),
+        ("(a){ txn(a, x²) }", "invalid address name: 'x²'", 12, 14, 1, 13),
+        ("(a){ txn(a, b);\n  txn(b, naïve.l.r) }", "invalid address name: 'naïve'", 25, 30, 2, 10),
+        ("(a, b){ txn(a, ok); txn(ok, b); txn(ü, ü) }", "invalid address name: 'ü'", 36, 37, 1, 37),
+        ("(a){ txn(!(x, é){ (y){} }, a) }", "invalid address name: 'é'", 14, 15, 1, 15),
+        ("(a){ txn(choose(ß){ (){}; (){} }, a) }", "invalid address name: 'ß'", 16, 17, 1, 17),
+        ("-- types: satoshi\n(a){ txn(a, b); txn(b, ñ.r) }", "invalid address name: 'ñ'", 41, 42, 2, 24),
+    ]
+
+    @pytest.mark.parametrize("text, message, begin, end, line, column", BAD_ADDRESSES)
+    def test_bad_address_errors_are_unchanged(self, text, message, begin, end, line, column):
+        with pytest.raises(ParseError) as err:
+            parser.parse_script(text)
+        span = err.value.span
+        assert (str(err.value), span.begin, span.end, span.line, span.column) == (
+            message, begin, end, line, column
         )
