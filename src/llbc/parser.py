@@ -35,6 +35,9 @@ from .errors import DualityError, LimitError, ParseError
 from .units import DEFAULT_UNITS
 
 KEYWORDS = frozenset({"txn", "choose", "inl", "inr"})
+# The tokens that may continue an operand after a word: ``^``, and the
+# ``.`` of a freshness suffix.
+_SUFFIXES = ("CARET", "DOT")
 
 _PUNCT = {
     "-o": "LOLLI",
@@ -55,9 +58,16 @@ _PUNCT = {
     ".": "DOT",
 }
 
-# Groups: 1 newline, 2 punctuation, 3 word, 4 anything else (an error).
-# Blanks and comments match without a group and are skipped.
-_LEXEME = re.compile(r"(\n)|[ \t\r]+|//[^\n]*|(-o|[(){},;*#@^?!&+.])|(\w+)|(.)", re.DOTALL)
+# One match per lexeme, taking the blanks and the comment before it along.
+# Groups: 1 a token (punctuation or a word), 2 newline, 3 anything else
+# (an error); blanks and a comment at the end of the text match without
+# a group.
+_LEXEME = re.compile(
+    r"[ \t\r]*(?://[^\n]*)?(?:(-o|[(){},;*#@^?!&+.]|\w+)|(\n)|(.)|\Z)", re.DOTALL
+)
+# The kind of each token text that has one of its own; any other word is
+# an ``INT`` or an ``IDENT``.
+_KIND_OF_TEXT = {**_PUNCT, "_": "UNDER"}
 
 
 # A token is a plain tuple ``(kind, text, begin, end, line, column)``:
@@ -71,40 +81,41 @@ def tokenize(text: str) -> list[tuple]:
     """The tokens of ``text``, ending in one ``EOF`` token."""
     tokens: list[tuple] = []
     append = tokens.append
-    punct = _PUNCT
-    line, line_start = 1, 0
+    kind_of = _KIND_OF_TEXT.get
+    # A column is an offset plus ``base``: one less the offset of the line.
+    line, base = 1, 1
     for m in _LEXEME.finditer(text):
-        group = m.lastindex
-        if group == 2:
-            start, end = m.span()
-            word = m[2]
-            append((punct[word], word, start, end, line, start - line_start + 1))
-        elif group == 3:
-            start, end = m.span()
-            word = m[3]
+        word = m[1]
+        if word is not None:
+            start, end = m.span(1)
             # ``int`` reads exactly the decimal words; ``isdigit`` would let
             # superscripts such as "²" through.
-            kind = "INT" if word.isdecimal() else "UNDER" if word == "_" else "IDENT"
-            append((kind, word, start, end, line, start - line_start + 1))
-        elif group == 1:
-            line, line_start = line + 1, m.end()
-        elif group == 4:
-            start, end = m.span()
-            where = sx.SourceSpan(start, end, line, start - line_start + 1)
-            raise ParseError(f"unsupported character {m[4]!r}", where)
+            kind = kind_of(word) or ("INT" if word.isdecimal() else "IDENT")
+            append((kind, word, start, end, line, start + base))
+        elif m.lastindex == 2:
+            line, base = line + 1, 1 - m.end()
+        elif m.lastindex == 3:
+            start, end = m.span(3)
+            where = sx.SourceSpan(start, end, line, start + base)
+            raise ParseError(f"unsupported character {m[3]!r}", where)
     n = len(text)
-    append(("EOF", "", n, n, line, n - line_start + 1))
+    append(("EOF", "", n, n, line, n + base))
     return tokens
 
 
+# Token ranges run forward by construction, so the parser's spans skip
+# the constructor's check.
+_SourceSpan = sx.SourceSpan.trusted
+
+
 def _span(tok: tuple) -> sx.SourceSpan:
-    return sx.SourceSpan(tok[BEGIN], tok[END], tok[LINE], tok[COLUMN])
+    return _SourceSpan(tok[BEGIN], tok[END], tok[LINE], tok[COLUMN])
 
 
 class _Op(NamedTuple):
     """An infix operator: its text, its binding level (higher binds
     tighter), and the node it builds in each sort, or None where the sort
-    lacks it. Constructors take ``(left, right, span=...)``."""
+    lacks it. Constructors take ``(left, right, span)``."""
 
     text: str
     level: int
@@ -192,7 +203,7 @@ class _Parser:
 
     def span_from(self, tok: tuple) -> sx.SourceSpan:
         """From the start of ``tok`` to the end of the last token read."""
-        return sx.SourceSpan(tok[BEGIN], self.tokens[self.pos - 1][END], tok[LINE], tok[COLUMN])
+        return _SourceSpan(tok[BEGIN], self.tokens[self.pos - 1][END], tok[LINE], tok[COLUMN])
 
     def finish(self, value):
         tok = self.peek()
@@ -213,27 +224,29 @@ class _Parser:
         self.expect("RPAREN")
         self.expect("LBRACE")
         pending: list[sx.Transaction] = []
+        tokens = self.tokens
         if not self.at("RBRACE"):
             pending.append(self.transaction())
-            while self.at("SEMI"):
-                self.next()
-                if self.at("RBRACE"):
+            while tokens[self.pos][KIND] == "SEMI":
+                self.pos += 1
+                if tokens[self.pos][KIND] == "RBRACE":
                     break
                 pending.append(self.transaction())
         self.expect("RBRACE")
-        return sx.Program(tuple(interface), tuple(pending), span=self.span_from(begin))
+        return sx.Program(tuple(interface), tuple(pending), self.span_from(begin))
 
     def transaction(self) -> sx.Transaction:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if not (tok[KIND] == "IDENT" and tok[TEXT] == "txn"):
             raise _expected("txn", tok, "txn")
-        self.next()
+        self.pos += 1
         self.expect("LPAREN")
         left = self.infix(_EXPR)
         self.expect("COMMA")
         right = self.infix(_EXPR)
-        self.expect("RPAREN")
-        return sx.Transaction(left, right, span=self.span_from(tok))
+        end = self.expect("RPAREN")
+        span = _SourceSpan(tok[BEGIN], end[END], tok[LINE], tok[COLUMN])
+        return sx.Transaction(left, right, span)
 
     # -- operators, both sorts ---------------------------------------------
 
@@ -245,9 +258,13 @@ class _Parser:
         if self.depth == MAX_NESTING:
             raise LimitError(f"operands nest deeper than {MAX_NESTING} levels", _span(self.peek()))
         self.depth += 1
-        left = self.prefixed(sort)
+        tok, after = self.tokens[self.pos], self.tokens[self.pos + 1]
+        if tok[KIND] == "IDENT" and after[KIND] not in _SUFFIXES and tok[TEXT] not in KEYWORDS:
+            left = self.primary(sort)  # one word, so no prefix or ``^`` to read
+        else:
+            left = self.prefixed(sort)
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             op = _INFIX.get(tok[KIND])
             build = op and getattr(op, sort)
             if build is None or op.level < floor:
@@ -256,7 +273,7 @@ class _Parser:
             self.next()
             right = self.infix(sort, op.level if op.right_assoc else op.level + 1)
             try:
-                left = build(left, right, span=self._join(left, right) if sort == _EXPR else None)
+                left = build(left, right, self._join(left, right) if sort == _EXPR else None)
             except DualityError as err:
                 raise ParseError(str(err), err.span or _span(tok)) from err
 
@@ -292,8 +309,18 @@ class _Parser:
         return value
 
     def primary(self, sort: str):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         kind, text = tok[KIND], tok[TEXT]
+        if kind == "IDENT" and sort == _EXPR and text not in KEYWORDS:
+            self.pos += 1
+            if text in self.units:
+                if self.at("DOT"):
+                    raise ParseError(
+                        "freshness suffix is not allowed on a currency unit",
+                        _span(self.peek()),
+                    )
+                return sx.Unit(text, _span(tok))
+            return sx.Addr(self.address_suffix(tok), self.span_from(tok))
         if kind == "LPAREN":
             self.next()
             value = self.infix(sort)
@@ -316,17 +343,7 @@ class _Parser:
         if kind == "IDENT" and text == "choose":
             return self.choose()
         if kind == "IDENT":
-            if text in KEYWORDS:
-                raise ParseError(f"{text!r} is a keyword", _span(tok))
-            self.next()
-            if text in self.units:
-                if self.at("DOT"):
-                    raise ParseError(
-                        "freshness suffix is not allowed on a currency unit",
-                        _span(self.peek()),
-                    )
-                return sx.Unit(text, span=_span(tok))
-            return sx.Addr(self.address_suffix(tok), span=self.span_from(tok))
+            raise ParseError(f"{text!r} is a keyword", _span(tok))
         raise _expected("an expression", tok, "expression")
 
     # -- expression forms --------------------------------------------------
@@ -352,7 +369,7 @@ class _Parser:
     def address_suffix(self, tok: tuple) -> sx.Address:
         path: list[str] = []
         # Only a word token has the text "l" or "r".
-        while self.at("DOT") and self.peek(1)[TEXT] in ("l", "r"):
+        while self.tokens[self.pos][KIND] == "DOT" and self.peek(1)[TEXT] in ("l", "r"):
             self.next()
             path.append(self.next()[TEXT])
         try:
@@ -405,7 +422,7 @@ class _Parser:
         ls, rs = left.span, right.span
         if ls is None or rs is None:
             return None
-        return sx.SourceSpan(ls.begin, rs.end, ls.line, ls.column)
+        return _SourceSpan(ls.begin, rs.end, ls.line, ls.column)
 
 
 def parse_program(text: str, units: frozenset[str] = DEFAULT_UNITS) -> sx.Program:

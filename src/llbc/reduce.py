@@ -116,6 +116,9 @@ _LOCAL = {
 
 RULE_ORDER = ("Transaction", *(rule.name for rule in _LOCAL.values()))
 _PRIORITY = {name: i for i, name in enumerate(RULE_ORDER)}
+# The kinds of side some local rule takes: a transaction with a side of any
+# other kind, such as an address, matches none.
+_LOCAL_KINDS = frozenset(kind for kinds in _LOCAL for kind in kinds)
 
 
 def _match_local(txn: sx.Transaction):
@@ -164,8 +167,10 @@ def _fuse(ti: sx.Transaction, tj: sx.Transaction, bi: tuple, bj: tuple):
     whole sides ``bi`` and ``bj`` (as for ``_fusable``), joined over the
     first of ``bi`` in ``bj``; None if there is none. Each keeps, as the
     same object, its side that is not the mediator (the left if both are)."""
-    mediator = next((address for address in bi if address in bj), None)
-    if mediator is None:
+    for mediator in bi:
+        if mediator in bj:
+            break
+    else:
         return None
     kept, whole = [], ()
     for txn, sides in ((ti, bi), (tj, bj)):
@@ -267,7 +272,8 @@ DEFAULT_FUEL = 10**6
 
 
 class _Live:
-    """A transaction in the index: label, node, whole-side keys, alive flag."""
+    """A transaction in the index: label, node, whole-side keys, alive
+    flag. A fusion may put the fused transaction in the left record."""
 
     __slots__ = ("label", "txn", "sides", "alive")
 
@@ -286,44 +292,58 @@ class _RedexIndex:
     left label. Positions are ranks among live labels, computed only for a
     trace line or a program. Each address gets an int key on first sight;
     ``occurrences`` (surface-occurrence counts) and ``bare`` (the records
-    holding the address as a whole side) are keyed by it.
+    holding the address as a whole side) are keyed by it. One walk per
+    transaction (``_keys``) reads both.
 
     ``heap`` holds candidate redexes keyed ``(label, rule priority,
     partner label)``, the order of ``Redex.sort_key``, with their records
-    and local match or pair key. An entry is checked when it reaches the
-    top, and dropped if a record is dead or its mediator's count moved.
-    Every redex has an entry: a redex depends only on its transactions and
-    its mediator's count, and each step queues the new records' redexes
-    and the pairs over each key whose count moved. A fusion keeps the
-    other sides as the same objects, so it moves only the mediator's
-    count, by two, and hashes no address; a local rule counts the
-    addresses of the transactions that leave and enter.
+    and local match or pair key: a match for a transaction whose two side
+    kinds both occur in ``_LOCAL``, a pair for two records that share a
+    whole-side key. An entry is checked when it reaches the top, and
+    dropped if a record is dead or the pair does not fuse. Every redex has
+    an entry: a redex depends only on its transactions and its mediator's
+    count, and each step queues the redexes of the records it changes and
+    the pairs over each key whose count moved.
+
+    A fusion keeps the other sides as the same objects, so it moves only
+    the mediator's count, by two, and hashes no address. If the fused
+    transaction has a whole side, no mediator among them, and is no
+    self-loop, it takes the left record's place, and that record keeps its
+    other whole side and the entries over it; only the partner's whole
+    side is new to it. Neither of the two was a self-loop then, so the
+    two sides were the mediator's only occurrences: the record's entries
+    over it are stale. Any other step retires the records it removes and
+    enters new ones; a local rule recounts the addresses that leave and
+    enter.
     """
 
     def __init__(self, p: sx.Program):
         self.interface, self.span = p.interface, p.span
         self.live: set[_Live] = set()
-        self.keys: dict[sx.Address, int] = defaultdict(count().__next__)
+        self.keys: dict[sx.Address, int] = {}
         self.occurrences: dict[int, int] = defaultdict(int)
         self.bare: dict[int, set[_Live]] = defaultdict(set)
         self.heap: list = []
         self.tiebreak = count()
-        for entry in p.interface:
-            for address in sx.surface_addresses(entry):
-                self.occurrences[self.keys[address]] += 1
-        self._replace((), (), p.pending)
+        self._keys(p.interface, self.occurrences, 1)
+        records = [
+            _Live((position,), txn, self._keys((txn.left, txn.right), self.occurrences, 1))
+            for position, txn in enumerate(p.pending)
+        ]
+        self._enter((), records, ())
 
     def leftmost(self):
         """The heap entry of the leftmost redex, or None in normal form."""
         heap, occurrences = self.heap, self.occurrences
         while heap:
-            record, partner, key = heap[0][4:]
+            top = heap[0]
+            record, partner, key = top[4], top[5], top[6]
             if record.alive and (
                 partner is None
                 or partner.alive
                 and _fusable(record.sides, partner.sides, key, occurrences[key])
             ):
-                return heap[0]
+                return top
             heapq.heappop(heap)
         return None
 
@@ -340,64 +360,92 @@ class _RedexIndex:
         label, _, _, _, record, partner, match = entry
         if partner is None:
             self._replace((record,), label, _rewrite(match, effect))
+            return
+        mediator, fused, sides = _fuse(record.txn, partner.txn, record.sides, partner.sides)
+        self.occurrences[mediator] -= 2
+        if sides and mediator not in sides and (len(sides) == 1 or sides[0] != sides[1]):
+            # In place: ``sides`` is the record's other whole side, if it
+            # has one, then the partner's.
+            self.bare[mediator].discard(record)
+            gained = sides[len(record.sides) - 1 :]
+            record.txn, record.sides = fused, sides
+            self._enter((partner,), (), (mediator,), [(record, gained)])
         else:
-            mediator, fused, sides = _fuse(record.txn, partner.txn, record.sides, partner.sides)
-            self.occurrences[mediator] -= 2
             self._enter((record, partner), [_Live(label, fused, sides)], (mediator,))
 
     def program(self) -> sx.Program:
         pending = tuple(r.txn for r in sorted(self.live, key=lambda r: r.label))
         return sx.Program(self.interface, pending, span=self.span)
 
+    def _keys(self, sides, counts: dict, sign: int) -> tuple[int, ...]:
+        """Add ``sign`` to ``counts`` at the key of each surface address of
+        the expressions ``sides``, giving an address its key on first sight,
+        and return the keys of the sides that are an address (as
+        ``_bare``). An address side is read in one step."""
+        keys = self.keys
+        whole = []
+        for side in sides:
+            if type(side) is sx.Addr:
+                key = keys.setdefault(side.address, len(keys))
+                counts[key] += sign
+                whole.append(key)
+            else:
+                for address in sx.surface_addresses(side):
+                    counts[keys.setdefault(address, len(keys))] += sign
+        return tuple(whole)
+
     def _replace(self, removed, label, residue):
         """Swap the ``removed`` records for records of the ``residue``
         transactions, labelled ``label + (0,)``, ``label + (1,)``, ...,
         moving the occurrence counts by the addresses that leave and enter."""
-        key_of = self.keys.__getitem__
         delta: dict[int, int] = defaultdict(int)
         for record in removed:
-            for address in sx.surface_addresses(record.txn):
-                delta[key_of(address)] -= 1
-        for txn in residue:
-            for address in sx.surface_addresses(txn):
-                delta[key_of(address)] += 1
+            self._keys((record.txn.left, record.txn.right), delta, -1)
+        new = [
+            _Live(label + (k,), t, self._keys((t.left, t.right), delta, 1))
+            for k, t in enumerate(residue)
+        ]
         changed = [key for key, d in delta.items() if d]
         for key in changed:
             self.occurrences[key] += delta[key]
-        new = [_Live(label + (k,), t, tuple(map(key_of, _bare(t)))) for k, t in enumerate(residue)]
         self._enter(removed, new, changed)
 
-    def _enter(self, removed, records, changed):
+    def _enter(self, removed, records, changed, gained=()):
         """Retire the ``removed`` records, queue the pairs already there
         over each ``changed`` key, then make ``records`` live one by one,
-        queueing their redexes."""
-        live, bare = self.live, self.bare
+        queueing their redexes. ``gained`` lists ``(record, keys)`` for a
+        live record that now holds ``keys`` as whole sides too: its pairs
+        over them are queued."""
+        live, bare, heap, tiebreak = self.live, self.bare, self.heap, self.tiebreak
         for record in removed:
             record.alive = False
             live.remove(record)
             for key in record.sides:
                 bare[key].discard(record)
+        pairs = []
         for key in changed:
             for record, other in combinations(bare[key], 2):
-                self._queue_pair(key, record, other)
+                pairs.append((key, record, other))
+        entering = [*gained]
         for record in records:
-            match = _match_local(record.txn)
-            if match is not None:
-                entry = (record.label, _PRIORITY[match[0].name], (), next(self.tiebreak))
-                heapq.heappush(self.heap, (*entry, record, None, match))
-            for key in record.sides:
+            txn = record.txn
+            if type(txn.left) in _LOCAL_KINDS and type(txn.right) in _LOCAL_KINDS:
+                match = _match_local(txn)
+                if match is not None:
+                    entry = (record.label, _PRIORITY[match[0].name], (), next(tiebreak))
+                    heapq.heappush(heap, (*entry, record, None, match))
+            entering.append((record, record.sides))
+        for record, keys in entering:
+            for key in keys:
                 for other in bare[key]:
-                    self._queue_pair(key, record, other)
-            for key in record.sides:
+                    pairs.append((key, record, other))
+            for key in keys:
                 bare[key].add(record)
         live.update(records)
-
-    def _queue_pair(self, key, record, other):
-        if other.label < record.label:
-            record, other = other, record
-        if _fusable(record.sides, other.sides, key, self.occurrences[key]):
-            entry = (record.label, 0, other.label, next(self.tiebreak), record, other, key)
-            heapq.heappush(self.heap, entry)
+        for key, record, other in pairs:
+            if other.label < record.label:
+                record, other = other, record
+            heapq.heappush(heap, (record.label, 0, other.label, next(tiebreak), record, other, key))
 
 
 def normalize(

@@ -259,8 +259,9 @@ class Address(Node, order=True):
     def _check(self):
         if not NAME_RE.match(self.name):
             raise ValueError(f"invalid address name: {self.name!r}")
-        if any(side not in _SIDES for side in self.path):
-            raise ValueError(f"invalid freshness path: {self.path!r}")
+        for side in self.path:
+            if side not in _SIDES:
+                raise ValueError(f"invalid freshness path: {self.path!r}")
 
     def extended(self, side: str) -> "Address":
         if side not in _SIDES:
@@ -627,8 +628,11 @@ def surface_occurrences(program: Program) -> Iterator[tuple[Address, str]]:
     for entry in program.interface:
         yield from _surface(entry, ENTRY)
     for txn in program.pending:
-        yield from _surface(txn.left, PENDING)
-        yield from _surface(txn.right, PENDING)
+        for side in (txn.left, txn.right):
+            if type(side) is Addr:  # the common side, read without a walk
+                yield (side.address, PENDING)
+            else:
+                yield from _surface(side, PENDING)
 
 
 def surface_addresses(e: Expression) -> list[Address]:

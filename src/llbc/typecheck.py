@@ -313,39 +313,42 @@ class _Scope:
                 program.span,
             )
         self.declared = [unifier.fresh() if t is None else t for t in declared]
-        self.commits: dict[sx.Address, list[sx.LinearType]] = {}
-        self.census: dict[sx.Address, int] = {}
+        # Per address: ``[occurrences not yet typed]``, then the type of
+        # its first typed occurrence once there is one.
+        self.uses: dict[sx.Address, list] = {}
         self._run_census()
 
     # -- linearity census ----------------------------------------------------
 
     def _run_census(self):
         """Count each address's occurrences: two, or one at the interface."""
-        counts, at_interface = self.census, set()
+        uses, at_interface, entry = self.uses, set(), sx.ENTRY
         for address, tag in sx.surface_occurrences(self.program):
-            counts[address] = counts.get(address, 0) + 1
-            if tag == sx.ENTRY:
+            uses.setdefault(address, [0])[0] += 1
+            if tag == entry:
                 at_interface.add(address)
-        for address, count in counts.items():
+        for address, (count,) in uses.items():
             if count != 2 and (count != 1 or address not in at_interface):
                 raise NonLinearAddressError(address.render(), count, span=self.program.span)
 
     # -- occurrence table ---------------------------------------------------
 
     def _learn(self, address, t, span):
-        known = self.commits.setdefault(address, [])
-        if len(known) >= self.census[address]:
+        use = self.uses[address]
+        if not use[0]:
             raise TypeMismatchError(
                 f"address {address.render()} has more typed occurrences than uses", span
             )
-        if known:
-            try:
-                self.unifier.unify(t, known[0], negated=True)
-            except _UnifyError as err:
-                raise TypeMismatchError(
-                    f"occurrences of {address.render()} must have dual types: {err}", span
-                ) from None
-        known.append(t)
+        use[0] -= 1
+        if len(use) == 1:
+            use.append(t)
+            return
+        try:
+            self.unifier.unify(t, use[1], negated=True)
+        except _UnifyError as err:
+            raise TypeMismatchError(
+                f"occurrences of {address.render()} must have dual types: {err}", span
+            ) from None
 
     # -- driver ---------------------------------------------------------------
 
@@ -386,9 +389,24 @@ class _Scope:
 
     def _type_expr(self, e, expected) -> tuple:
         """The derivation of ``e`` against ``expected`` (None: unconstrained).
-        On ``sx.fold`` over ``[e, expected]`` items, so deep expressions are
-        fine: :meth:`_apply_rule` turns each item, in pre-order, into its
-        derivation less the premises, which the post-order pass adds."""
+        A leaf, an address or a literal, takes its rule (Axiom or Literal)
+        here, directly; anything else is typed on ``sx.fold`` over ``[e,
+        expected]`` items, so deep expressions are fine: :meth:`_apply_rule`
+        turns each item, in pre-order, into its derivation less the
+        premises, which the post-order pass adds."""
+        kind = type(e)
+        if kind is sx.Addr:
+            t = expected if expected is not None else self.unifier.fresh()
+            self._learn(e.address, t, e.span)
+            return ("Axiom", e, t, ())
+        if kind is sx.Unit or (kind is sx.Dual and type(e.inner) is sx.Unit):
+            t = sx.Atom(e.unit) if kind is sx.Unit else sx.Atom(e.inner.unit, True)
+            if expected is not None:
+                try:
+                    self.unifier.unify(expected, t)
+                except _UnifyError as err:
+                    raise TypeMismatchError(f"expected type does not fit: {err}", e.span) from None
+            return ("Literal", e, t, ())
         return sx.fold(
             [e, expected],
             lambda item, premises: (*item, premises) if len(item) == 3 else tuple(item),
@@ -397,23 +415,12 @@ class _Scope:
 
     def _apply_rule(self, item) -> list:
         """Apply the rule for ``item = [e, expected]``, leaving ``[rule, e,
-        type]`` in it (a box: its whole derivation); returns the premises'
-        items."""
+        type]`` in it (a leaf or a box: its whole derivation); returns the
+        premises' items."""
         e, expected = item
         kind = type(e)
-        if kind is sx.Addr:
-            t = expected if expected is not None else self.unifier.fresh()
-            self._learn(e.address, t, e.span)
-            item[:] = ("Axiom", e, t)
-            return []
-        if kind is sx.Unit or (kind is sx.Dual and type(e.inner) is sx.Unit):
-            t = sx.Atom(e.unit) if kind is sx.Unit else sx.Atom(e.inner.unit, True)
-            if expected is not None:
-                try:
-                    self.unifier.unify(expected, t)
-                except _UnifyError as err:
-                    raise TypeMismatchError(f"expected type does not fit: {err}", e.span) from None
-            item[:] = ("Literal", e, t)
+        if kind is sx.Addr or kind is sx.Unit or (kind is sx.Dual and type(e.inner) is sx.Unit):
+            item[:] = self._type_expr(e, expected)  # a leaf
             return []
         if kind is sx.Dual:
             raise TypeMismatchError("dual marker survives only on literals", e.span)
@@ -465,7 +472,7 @@ class _Scope:
             # occurrence is dual. A menu's second branch gets types of its
             # own, so that disagreeing with the first is reported as such.
             context = [
-                unifier.fresh() if contexts or not self.commits.get(x) else self.commits[x][0]
+                unifier.fresh() if contexts or len(self.uses[x]) == 1 else self.uses[x][1]
                 for x in binders
             ]
             premises.append(_Scope(branch, [slots[i], *context], unifier).run()[1])

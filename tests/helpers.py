@@ -1,10 +1,12 @@
-"""Shared test utilities: the worked spend example, corpus builders, and
-the brute-force reduction-order oracle."""
+"""Shared test utilities: the worked spend example, corpus and pipeline
+builders, a call counter for work gates, and the brute-force
+reduction-order oracle."""
 from __future__ import annotations
 
 import pathlib
 
 from llbc import parser, reduce as rd
+from llbc import syntax as sx
 from llbc.generate import GenConfig, ProgramGenerator
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -49,6 +51,45 @@ def spend_example_m2():
         }
         """
     )
+
+
+def count_calls(monkeypatch, owner, name) -> list[tuple]:
+    """Wrap ``owner.name`` for the rest of the test so that each call
+    appends its positional arguments to the list returned."""
+    original = getattr(owner, name)
+    calls: list[tuple] = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def pipeline(n, k, rng):
+    """``(a0){ txn(a0, x1); ...; txn(xn, k.satoshi) }``, pending shuffled."""
+    txns = ["txn(a0, x1)"]
+    txns.extend(f"txn(x{i}, x{i + 1})" for i in range(1, n))
+    txns.append(f"txn(x{n}, {k}.satoshi)")
+    rng.shuffle(txns)
+    return parser.parse_program(f"(a0){{ {'; '.join(txns)} }}")
+
+
+def constructed_pipeline(n, k, rng, loops=()):
+    """``pipeline`` built with constructors, with a self-loop ``txn(xi, xi)``
+    added for each ``i`` in ``loops``: every occurrence of an address is its
+    own ``Address`` object."""
+
+    def addr(name):
+        return sx.Addr(sx.Address(name))
+
+    txns = [sx.Transaction(addr("a0"), addr("x1"))]
+    txns += [sx.Transaction(addr(f"x{i}"), addr(f"x{i + 1}")) for i in range(1, n)]
+    txns.append(sx.Transaction(addr(f"x{n}"), sx.amount_literal(k, "satoshi")))
+    txns += [sx.Transaction(addr(f"x{i}"), addr(f"x{i}")) for i in loops]
+    rng.shuffle(txns)
+    return sx.Program((addr("a0"),), tuple(txns))
 
 
 def canonical_key(program) -> str:
@@ -116,8 +157,6 @@ def reduction_edges(program, max_states: int = 200_000):
 
 def small_corpus(seed: int, count: int, max_pending: int = 8, max_nodes: int = 90):
     """Well-typed programs small enough for exhaustive order enumeration."""
-    from llbc import syntax as sx
-
     config = GenConfig(
         max_type_depth=2,
         max_expr_depth=3,

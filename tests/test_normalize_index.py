@@ -20,7 +20,7 @@ from llbc import syntax as sx
 from llbc.errors import FuelExhausted
 from llbc.generate import GenConfig, ProgramGenerator
 
-from helpers import DEMOS, spend_program
+from helpers import DEMOS, constructed_pipeline, count_calls, pipeline, spend_program
 
 
 def reference_normalize(p, fuel):
@@ -68,31 +68,6 @@ def assert_same_run(p, fuel, lines=True):
     assert got.burned == expected.burned
     assert got.discarded == expected.discarded
     assert got.duplicated == expected.duplicated
-
-
-def pipeline(n, k, rng):
-    """``(a0){ txn(a0, x1); ...; txn(xn, k.satoshi) }``, pending shuffled."""
-    txns = ["txn(a0, x1)"]
-    txns.extend(f"txn(x{i}, x{i + 1})" for i in range(1, n))
-    txns.append(f"txn(x{n}, {k}.satoshi)")
-    rng.shuffle(txns)
-    return parser.parse_program(f"(a0){{ {'; '.join(txns)} }}")
-
-
-def constructed_pipeline(n, k, rng, loops=()):
-    """``pipeline`` built with constructors, with a self-loop ``txn(xi, xi)``
-    added for each ``i`` in ``loops``: every occurrence of an address is its
-    own ``Address`` object."""
-
-    def addr(name):
-        return sx.Addr(sx.Address(name))
-
-    txns = [sx.Transaction(addr("a0"), addr("x1"))]
-    txns += [sx.Transaction(addr(f"x{i}"), addr(f"x{i + 1}")) for i in range(1, n)]
-    txns.append(sx.Transaction(addr(f"x{n}"), sx.amount_literal(k, "satoshi")))
-    txns += [sx.Transaction(addr(f"x{i}"), addr(f"x{i}")) for i in loops]
-    rng.shuffle(txns)
-    return sx.Program((addr("a0"),), tuple(txns))
 
 
 def uninterned(p):
@@ -222,38 +197,61 @@ class TestAddressIdentity:
                 assert_same_run(p, fuel)
 
 
+def work_pipeline(n, build):
+    rng = random.Random(f"work/{n}")
+    return pipeline(n, 3, rng) if build == "parsed" else constructed_pipeline(n, 3, rng)
+
+
 class TestWorkGate:
     """Deterministic work counts of the index on shuffled pipelines. After
     the index is built, a pure fusion run walks no side, and each fusion
-    queues at most two heap entries."""
+    queues at most two heap entries. While it is built, only the interface
+    entries and sides that are not an address are walked, and no
+    transaction with an address side is matched against the local rules."""
 
     @pytest.mark.parametrize("n", [200, 1600])
     @pytest.mark.parametrize("build", ["parsed", "constructed"])
     def test_fusion_runs(self, n, build, monkeypatch):
-        rng = random.Random(f"work/{n}")
-        p = pipeline(n, 3, rng) if build == "parsed" else constructed_pipeline(n, 3, rng)
-        counts = Counter()
-
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        build_index = rd._RedexIndex.__init__
-
-        def init(self, program):
-            build_index(self, program)
-            counts["built"] = counts["surface_addresses"]
-
-        monkeypatch.setattr(sx, "surface_addresses", counting("surface_addresses", sx.surface_addresses))
-        monkeypatch.setattr(rd.heapq, "heappush", counting("heappush", rd.heapq.heappush))
-        monkeypatch.setattr(rd._RedexIndex, "__init__", init)
+        p = work_pipeline(n, build)
+        walks = count_calls(monkeypatch, sx, "surface_addresses")
+        pushes = count_calls(monkeypatch, rd.heapq, "heappush")
+        rd._RedexIndex(p)  # the build normalize repeats, counted on its own
+        walked, pushed = len(walks), len(pushes)
         result = rd.normalize(p)
         assert result.steps == n
-        assert counts["surface_addresses"] - counts["built"] == 0
-        assert counts["heappush"] <= n + 2 * result.steps, counts
+        assert len(walks) - 2 * walked == 0
+        assert len(pushes) - pushed <= n + 2 * result.steps, len(pushes) - pushed
+
+    @pytest.mark.parametrize("n", [200, 1600])
+    @pytest.mark.parametrize("build", ["parsed", "constructed"])
+    def test_index_build_walks_only_compound_sides(self, n, build, monkeypatch):
+        p = work_pipeline(n, build)
+        walks = count_calls(monkeypatch, sx, "surface_addresses")
+        rd._RedexIndex(p)
+        sides = [*p.interface, *(side for t in p.pending for side in (t.left, t.right))]
+        compound = [side for side in sides if type(side) is not sx.Addr]
+        # The one literal side, once; an address is read without a walk.
+        assert len(compound) == 1
+        assert [args[0] for args in walks] == compound
+
+    @pytest.mark.parametrize("n", [200, 1600])
+    @pytest.mark.parametrize("build", ["parsed", "constructed"])
+    def test_no_local_match_on_an_address_side(self, n, build, monkeypatch):
+        p = work_pipeline(n, build)
+        matched = count_calls(monkeypatch, rd, "_match_local")
+        assert rd.normalize(p).steps == n
+        assert len(matched) == 0
+
+    def test_local_matches_only_without_an_address_side(self, monkeypatch):
+        matched = count_calls(monkeypatch, rd, "_match_local")
+        fired = 0
+        for p in generated(seed=31, count=60, bias=0.6):
+            result = rd.normalize(p, trace=True)
+            fired += sum(step.redex.kind != "Transaction" for step in result.trace)
+        assert fired > 0
+        assert len(matched) >= fired
+        for (txn,) in matched:
+            assert type(txn.left) is not sx.Addr and type(txn.right) is not sx.Addr
 
 
 def _pinned_record(p, fuel):
@@ -390,6 +388,31 @@ class TestIndexEdgeCases:
                 with pytest.raises(FuelExhausted) as expected:
                     reference_normalize(p, fuel)
                 assert err.value.state == expected.value.state
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_address_graphs(self, seed):
+        # Untyped programs over a few addresses: addresses held by three or
+        # more sides, self-loops, fusions that leave a self-loop or keep the
+        # mediator, and Pair cuts between them. A fused transaction may take
+        # over its left record in place, so every entry left in the queue
+        # must stay right about the records it names.
+        rng = random.Random(f"graphs/{seed}")
+        names = [sx.Address(f"a{i}") for i in range(6)]
+
+        def side():
+            roll = rng.random()
+            if roll < 0.7:
+                return sx.Addr(rng.choice(names))
+            if roll < 0.8:
+                return sx.Unit("satoshi")
+            kind = sx.Iso if roll < 0.9 else sx.Conn
+            return kind(sx.Addr(rng.choice(names)), sx.Addr(rng.choice(names)))
+
+        for _ in range(300):
+            txns = [sx.Transaction(side(), side()) for _ in range(rng.randrange(1, 10))]
+            p = sx.Program((), tuple(txns))
+            for fuel in (rd.DEFAULT_FUEL, 1, 2, 4):
+                assert_same_run(p, fuel)
 
 
 class TestScaling:

@@ -15,6 +15,8 @@ from llbc import syntax as sx
 from llbc.errors import LimitError, ParseError
 from llbc.generate import ProgramGenerator
 
+from helpers import count_calls
+
 
 class TestProgramGolden:
     def test_genesis_m2(self):
@@ -300,6 +302,27 @@ class TestSugarSpines:
     )
     def test_sugar(self, source, rendered):
         assert parser.render(parser.parse_expression(source)) == rendered
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    @pytest.mark.parametrize("spines", [1, 2])
+    def test_each_spine_is_examined_once(self, n, spines, monkeypatch):
+        # The counted twin of the wall-clock test below: ``spines`` spines
+        # ``a * satoshi * ... * satoshi`` of n ``*`` nodes in all, joined by
+        # ``#``. Each is examined by one call, which records each of its
+        # ``*`` nodes once.
+        def spine(length):
+            e = sx.Addr(sx.Address("a"))
+            for _ in range(length):
+                e = sx.Iso(e, sx.Unit("satoshi"))
+            return e
+
+        e = spine(n) if spines == 1 else sx.Conn(spine(n // 2), spine(n // 2))
+        calls = count_calls(monkeypatch, parser, "_sugar_spine")
+        text = parser.render(e)
+        assert text.count(" * satoshi") == n
+        assert len(calls) == spines
+        assert len({id(sugar) for _, sugar in calls}) == 1
+        assert len(calls[0][1]) == n
 
     def test_long_spine_renders_in_linear_time(self):
         # ``a * satoshi * ... * satoshi`` is no ``N . unit`` at any level;

@@ -17,7 +17,7 @@ from llbc.errors import (
 )
 from llbc.generate import GenConfig, ProgramGenerator
 
-from helpers import SPEND_TYPES, spend_program
+from helpers import SPEND_TYPES, constructed_pipeline, count_calls, pipeline, spend_program
 
 
 def check_src(program_src, *type_srcs):
@@ -75,6 +75,25 @@ class TestLinearity:
             check_src("(x){ txn(x, satoshi); txn(x, satoshi) }", "satoshi")
         assert err.value.count == 3
 
+    @pytest.mark.parametrize(
+        "src, address, count, end",
+        [
+            # Recorded before bare sides were counted on a fast path: y
+            # first occurs inside a compound side, ahead of x's first, bare
+            # occurrence, and both occur three times; the census reports
+            # the first address in occurrence order.
+            ("(z){ txn(y * z, x); txn(x, y); txn(x, y) }", "y", 3, 42),
+            ("(a, b){ txn(a, x); txn(b # (w * y), x); txn(y, w); txn(x, y); txn(y, x) }", "x", 4, 73),
+        ],
+    )
+    def test_first_non_linear_address_in_occurrence_order(self, src, address, count, end):
+        p = parser.parse_program(src)
+        with pytest.raises(NonLinearAddressError) as err:
+            tc.check(p, [None] * len(p.interface))
+        assert str(err.value) == f"address {address} occurs {count} time(s)"
+        assert (err.value.address, err.value.count) == (address, count)
+        assert err.value.span == sx.SourceSpan(0, end, 1, 1)
+
     def test_dangling_pending_address_rejected(self):
         with pytest.raises(NonLinearAddressError):
             check_src("(){ txn(x, satoshi) }")
@@ -107,6 +126,25 @@ class TestLinearity:
                     entry_tagged.add(address)
             for address, count in counts.items():
                 assert count == 2 or (count == 1 and address in entry_tagged)
+
+
+class TestWorkGate:
+    """The axiom and literal rules take a leaf side directly: on shuffled
+    pipelines, ``check`` starts ``sx.fold`` only for the one side that is
+    a ``*``-chain of literals, and not at all when that side is a single
+    literal."""
+
+    @pytest.mark.parametrize("n", [200, 1600])
+    @pytest.mark.parametrize("build", ["parsed", "constructed"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_no_fold_for_a_leaf_side(self, n, build, k, monkeypatch):
+        rng = random.Random(f"work/{n}")
+        p = pipeline(n, k, rng) if build == "parsed" else constructed_pipeline(n, k, rng)
+        declared = [parser.parse_type(" * ".join(["satoshi"] * k))]
+        folds = count_calls(monkeypatch, sx, "fold")
+        judgment = tc.check(p, declared)
+        assert len(folds) == (k > 1)
+        assert judgment.interface_types == tuple(declared)
 
 
 class TestCutDuality:
