@@ -27,6 +27,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _fuel(text: str) -> int:
+    """A ``--fuel`` value: a non-negative int, else a usage error."""
+    try:
+        fuel = int(text)
+    except ValueError:
+        fuel = -1
+    if fuel < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return fuel
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="llbc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -36,13 +47,13 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="normalize a script and print the result")
     p_run.add_argument("file")
-    p_run.add_argument("--fuel", type=int)
+    p_run.add_argument("--fuel", type=_fuel)
     p_run.add_argument("--trace", action="store_true")
 
     p_ledger = sub.add_parser("ledger", help="read a script back as a ledger (JSON)")
     p_ledger.add_argument("file")
     p_ledger.add_argument("--run", action="store_true", help="normalize first")
-    p_ledger.add_argument("--fuel", type=int)
+    p_ledger.add_argument("--fuel", type=_fuel)
 
     p_compose = sub.add_parser("compose", help="combine two chains blockwise")
     p_compose.add_argument("chains", nargs=2, metavar="CHAIN.json")

@@ -27,11 +27,11 @@ mediator is the first whole side of the left one that the right one has.
 run; well-typed programs always finish within it or the type checker was
 wrong.
 
-``find_redexes`` and ``step`` are the reference one-step interface, each
-call looking at the whole program. ``normalize`` fires the same redexes
-in the same order through an incremental index (``_RedexIndex``), so its
-``--trace`` lines are byte-identical; untraced, its cost per step grows
-only logarithmically with the length of the pending list.
+``normalize`` runs on an incremental redex index (``_RedexIndex``), so
+untraced, its cost per step grows only logarithmically with the length of
+the pending list. ``find_redexes`` and ``step`` read a fresh index of the
+program: the redexes in the order ``normalize`` would take them, and one
+of them fired. ``step`` rejects a redex that is not in ``find_redexes(p)``.
 """
 from __future__ import annotations
 
@@ -144,29 +144,25 @@ def _rewrite(match, effect: StepEffect) -> list[sx.Transaction]:
 # ---------------------------------------------------------------------------
 # The Transaction rule
 
-def _bare(txn: sx.Transaction) -> tuple[sx.Address, ...]:
-    """The addresses that are a whole side of ``txn``, left side first."""
-    return tuple(side.address for side in (txn.left, txn.right) if type(side) is sx.Addr)
-
-
-def _fusable(bi: tuple, bj: tuple, address, occurrences: int) -> bool:
-    """Whether two transactions with whole sides ``bi`` and ``bj`` (the
-    ``_bare`` addresses or their keys), both holding ``address``, may fuse
-    over it, given its surface-occurrence count. Those two sides being its
-    only occurrences is what linearity gives on typed programs; a
-    self-loop ``txn(x, x)`` re-uses an address for a coin that stays put."""
+def _fusable(bi: tuple, bj: tuple, key, occurrences: int) -> bool:
+    """Whether two transactions with whole-side keys ``bi`` and ``bj``
+    (left side first), both holding ``key``, may fuse over it, given its
+    surface-occurrence count. Those two sides being its only occurrences
+    is what linearity gives on typed programs; a self-loop ``txn(x, x)``
+    re-uses an address for a coin that stays put."""
     return (
         (len(bi) == 2 and bi[0] == bi[1])
         or (len(bj) == 2 and bj[0] == bj[1])
-        or (occurrences == 2 and bi.count(address) + bj.count(address) == 2)
+        or (occurrences == 2 and bi.count(key) + bj.count(key) == 2)
     )
 
 
 def _fuse(ti: sx.Transaction, tj: sx.Transaction, bi: tuple, bj: tuple):
-    """``(mediator, fused, its whole sides)`` for ``ti`` and ``tj``, with
-    whole sides ``bi`` and ``bj`` (as for ``_fusable``), joined over the
-    first of ``bi`` in ``bj``; None if there is none. Each keeps, as the
-    same object, its side that is not the mediator (the left if both are)."""
+    """``(mediator, fused, its whole-side keys)`` for ``ti`` and ``tj``,
+    with whole-side keys ``bi`` and ``bj`` (as for ``_fusable``), joined
+    over the first of ``bi`` in ``bj``; None if there is none. Each keeps,
+    as the same object, its side that is not the mediator (the left if
+    both are)."""
     for mediator in bi:
         if mediator in bj:
             break
@@ -183,24 +179,6 @@ def _fuse(ti: sx.Transaction, tj: sx.Transaction, bi: tuple, bj: tuple):
     return mediator, sx.Transaction(*kept), whole
 
 
-def _mediator_pairs(p: sx.Program):
-    """Eligible (i, j) pairs for the Transaction rule (see ``_fusable``)."""
-    occurrences: dict[sx.Address, int] = {}
-    for address, _ in sx.surface_occurrences(p):
-        occurrences[address] = occurrences.get(address, 0) + 1
-    bare = [_bare(txn) for txn in p.pending]
-    holders: dict[sx.Address, set[int]] = {}
-    for i, sides in enumerate(bare):
-        for address in sides:
-            holders.setdefault(address, set()).add(i)
-    return {
-        (i, j)
-        for address, where in holders.items()
-        for i, j in combinations(sorted(where), 2)
-        if _fusable(bare[i], bare[j], address, occurrences.get(address, 0))
-    }
-
-
 # ---------------------------------------------------------------------------
 # One step at a time
 
@@ -211,42 +189,23 @@ class Redex(sx.Node):
     __slots__ = {"kind": sx.DATA, "pos": sx.DATA, "partner": sx.DATA}
     DEFAULTS = {"partner": None}
 
-    def sort_key(self):
-        return (self.pos, _PRIORITY[self.kind], -1 if self.partner is None else self.partner)
-
 
 def find_redexes(p: sx.Program) -> list[Redex]:
     """Every position where a rule can fire, in the deterministic order
-    ``normalize`` uses."""
-    out = []
-    for i, txn in enumerate(p.pending):
-        match = _match_local(txn)
-        if match is not None:
-            out.append(Redex(match[0].name, i))
-    out.extend(Redex("Transaction", i, j) for i, j in _mediator_pairs(p))
-    out.sort(key=Redex.sort_key)
-    return out
+    ``normalize`` uses: the redexes of a fresh index of ``p``."""
+    return [redex for redex, _ in _RedexIndex(p).redexes()]
 
 
 def step_with_effect(p: sx.Program, r: Redex) -> tuple[sx.Program, StepEffect]:
-    pending = list(p.pending)
-    effect = StepEffect()
-    if r.kind == "Transaction":
-        if r.partner is None or not (0 <= r.pos < r.partner < len(pending)):
-            raise ValueError(f"not a Transaction redex of {render(p)}: {r}")
-        ti, tj = pending[r.pos], pending[r.partner]
-        fusion = _fuse(ti, tj, _bare(ti), _bare(tj))
-        if fusion is None:
-            raise ValueError(f"transactions {r.pos} and {r.partner} share no mediator")
-        residue = [fusion[1]]
-        del pending[r.partner]
-    else:
-        match = _match_local(pending[r.pos])
-        if match is None or match[0].name != r.kind:
-            raise ValueError(f"redex {r} does not match {render(pending[r.pos])}")
-        residue = _rewrite(match, effect)
-    pending[r.pos : r.pos + 1] = residue
-    return sx.Program(p.interface, tuple(pending), span=p.span), effect
+    """Fire ``r``, which must be in ``find_redexes(p)``: the next program
+    and the units the step moved."""
+    index = _RedexIndex(p)
+    for redex, entry in index.redexes():
+        if redex == r:
+            effect = StepEffect()
+            index.fire(entry, effect)
+            return index.program(), effect
+    raise ValueError(f"{r} is not a redex of {render(p)}")
 
 
 def step(p: sx.Program, r: Redex) -> sx.Program:
@@ -283,7 +242,8 @@ class _Live:
 
 class _RedexIndex:
     """The pending list of a program under normalization, indexed so that
-    each step finds the leftmost redex without rescanning the program.
+    each step finds the leftmost redex without rescanning the program. A
+    fresh index also lists every redex of its program (``redexes``).
 
     ``live`` holds a record (``_Live``) per transaction, labelled by a
     tuple of ints that sorts like its pending position and stays fixed:
@@ -296,11 +256,12 @@ class _RedexIndex:
     transaction (``_keys``) reads both.
 
     ``heap`` holds candidate redexes keyed ``(label, rule priority,
-    partner label)``, the order of ``Redex.sort_key``, with their records
-    and local match or pair key: a match for a transaction whose two side
-    kinds both occur in ``_LOCAL``, a pair for two records that share a
-    whole-side key. An entry is checked when it reaches the top, and
-    dropped if a record is dead or the pair does not fuse. Every redex has
+    partner label)``, the order ``find_redexes`` reports, with their
+    records and local match or pair key: a match for a transaction whose
+    two side kinds both occur in ``_LOCAL``, a pair for two records that
+    share a whole-side key. An entry is checked when it reaches the top,
+    and dropped if a record is dead or the pair does not fuse; a pair
+    sharing two keys, or a self-loop's, may be queued twice. Every redex has
     an entry: a redex depends only on its transactions and its mediator's
     count, and each step queues the redexes of the records it changes and
     the pairs over each key whose count moved.
@@ -333,10 +294,10 @@ class _RedexIndex:
         self._enter((), records, ())
 
     def leftmost(self):
-        """The heap entry of the leftmost redex, or None in normal form."""
+        """Pop the heap entry of the leftmost redex; None in normal form."""
         heap, occurrences = self.heap, self.occurrences
         while heap:
-            top = heap[0]
+            top = heapq.heappop(heap)
             record, partner, key = top[4], top[5], top[6]
             if record.alive and (
                 partner is None
@@ -344,8 +305,26 @@ class _RedexIndex:
                 and _fusable(record.sides, partner.sides, key, occurrences[key])
             ):
                 return top
-            heapq.heappop(heap)
         return None
+
+    def redexes(self) -> list[tuple[Redex, tuple]]:
+        """Each redex with an entry that fires it, in key order: one per
+        valid heap entry key, with positions read off the label ranks (a
+        local entry's partner label, ``()``, has none)."""
+        occurrences, valid = self.occurrences, {}
+        for entry in self.heap:
+            record, partner, key = entry[4], entry[5], entry[6]
+            if record.alive and (
+                partner is None
+                or partner.alive
+                and _fusable(record.sides, partner.sides, key, occurrences[key])
+            ):
+                valid.setdefault(entry[:3], entry)
+        rank = {label: i for i, label in enumerate(sorted(r.label for r in self.live))}
+        return [
+            (Redex(RULE_ORDER[priority], rank[label], rank.get(partner_label)), entry)
+            for (label, priority, partner_label), entry in sorted(valid.items())
+        ]
 
     def redex(self, entry) -> Redex:
         """``entry`` as find_redexes would report it, with positions."""
@@ -355,8 +334,7 @@ class _RedexIndex:
         return Redex(RULE_ORDER[priority], bisect_left(order, label), partner_pos)
 
     def fire(self, entry, effect: StepEffect) -> None:
-        """Fire the entry ``leftmost`` returned; its units go to ``effect``."""
-        heapq.heappop(self.heap)
+        """Fire a valid entry; its units go to ``effect``."""
         label, _, _, _, record, partner, match = entry
         if partner is None:
             self._replace((record,), label, _rewrite(match, effect))
@@ -380,8 +358,8 @@ class _RedexIndex:
     def _keys(self, sides, counts: dict, sign: int) -> tuple[int, ...]:
         """Add ``sign`` to ``counts`` at the key of each surface address of
         the expressions ``sides``, giving an address its key on first sight,
-        and return the keys of the sides that are an address (as
-        ``_bare``). An address side is read in one step."""
+        and return the keys of the sides that are an address, left side
+        first. An address side is read in one step."""
         keys = self.keys
         whole = []
         for side in sides:

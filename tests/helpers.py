@@ -1,9 +1,10 @@
 """Shared test utilities: the worked spend example, corpus and pipeline
-builders, a call counter for work gates, and the brute-force
-reduction-order oracle."""
+builders, a call counter for work gates, the brute-force reduction-order
+search, and the rescanning one-step reducer that checks the redex index."""
 from __future__ import annotations
 
 import pathlib
+from itertools import combinations
 
 from llbc import parser, reduce as rd
 from llbc import syntax as sx
@@ -175,3 +176,70 @@ def small_corpus(seed: int, count: int, max_pending: int = 8, max_nodes: int = 9
         ):
             out.append(generated)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The rescanning one-step reducer: an oracle for ``reduce._RedexIndex``.
+# Each call looks at the whole program. It shares the local rule table and
+# the Transaction rule's condition and fusion with ``llbc.reduce``, but
+# finds its redexes by a scan of its own.
+
+def _bare(txn: sx.Transaction) -> tuple[sx.Address, ...]:
+    """The addresses that are a whole side of ``txn``, left side first."""
+    return tuple(side.address for side in (txn.left, txn.right) if type(side) is sx.Addr)
+
+
+def _mediator_pairs(p: sx.Program):
+    """Eligible (i, j) pairs for the Transaction rule (see ``_fusable``)."""
+    occurrences: dict[sx.Address, int] = {}
+    for address, _ in sx.surface_occurrences(p):
+        occurrences[address] = occurrences.get(address, 0) + 1
+    bare = [_bare(txn) for txn in p.pending]
+    holders: dict[sx.Address, set[int]] = {}
+    for i, sides in enumerate(bare):
+        for address in sides:
+            holders.setdefault(address, set()).add(i)
+    return {
+        (i, j)
+        for address, where in holders.items()
+        for i, j in combinations(sorted(where), 2)
+        if rd._fusable(bare[i], bare[j], address, occurrences.get(address, 0))
+    }
+
+
+def _sort_key(r: rd.Redex):
+    return (r.pos, rd._PRIORITY[r.kind], -1 if r.partner is None else r.partner)
+
+
+def scan_redexes(p: sx.Program) -> list[rd.Redex]:
+    """Every position where a rule can fire, in the deterministic order
+    ``normalize`` uses."""
+    out = []
+    for i, txn in enumerate(p.pending):
+        match = rd._match_local(txn)
+        if match is not None:
+            out.append(rd.Redex(match[0].name, i))
+    out.extend(rd.Redex("Transaction", i, j) for i, j in _mediator_pairs(p))
+    out.sort(key=_sort_key)
+    return out
+
+
+def scan_step_with_effect(p: sx.Program, r: rd.Redex) -> tuple[sx.Program, rd.StepEffect]:
+    pending = list(p.pending)
+    effect = rd.StepEffect()
+    if r.kind == "Transaction":
+        if r.partner is None or not (0 <= r.pos < r.partner < len(pending)):
+            raise ValueError(f"not a Transaction redex of {parser.render(p)}: {r}")
+        ti, tj = pending[r.pos], pending[r.partner]
+        fusion = rd._fuse(ti, tj, _bare(ti), _bare(tj))
+        if fusion is None:
+            raise ValueError(f"transactions {r.pos} and {r.partner} share no mediator")
+        residue = [fusion[1]]
+        del pending[r.partner]
+    else:
+        match = rd._match_local(pending[r.pos])
+        if match is None or match[0].name != r.kind:
+            raise ValueError(f"redex {r} does not match {parser.render(pending[r.pos])}")
+        residue = rd._rewrite(match, effect)
+    pending[r.pos : r.pos + 1] = residue
+    return sx.Program(p.interface, tuple(pending), span=p.span), effect

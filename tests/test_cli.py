@@ -374,6 +374,15 @@ class TestUsage:
         code, _, _ = run_cli(capsys, "run")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["run"], ["ledger", "--run"]])
+    @pytest.mark.parametrize("fuel", ["-1", "x"])
+    def test_bad_fuel_is_usage_error(self, capsys, spend_path, command, fuel):
+        code, out, err = run_cli(capsys, command[0], spend_path, *command[1:], "--fuel", fuel)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: argument --fuel: must be a non-negative integer")
+        assert "ERROR" not in err
+
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "no-such-file.llbc")
         assert code == 1
@@ -548,6 +557,7 @@ class TestImports:
             (["compose", "--check-blockwise", "demos/cex1.json", "demos/cex2.json"], 0),
             (["compose", "demos/safe1.json", "demos/safe2.json"], 2),
             (["check"], 2),
+            (["run", "demos/spend.llbc", "--fuel", "-1"], 2),
             ([], 2),
         ],
     )

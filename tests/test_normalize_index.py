@@ -1,10 +1,14 @@
-"""``normalize``'s incremental redex index against the one-step interface.
+"""The redex index against the rescanning one-step oracle.
 
-The reference reducer is the plain loop ``normalize`` documents: fire
-``find_redexes(p)[0]`` with ``step_with_effect`` until no redex is left.
-The index must reproduce it exactly: the same trace lines and redexes,
-the same unit accounting, the same result, and the same state when fuel
-runs out.
+``find_redexes``, ``step`` and ``normalize`` all read ``_RedexIndex``. The
+oracle (``scan_redexes`` and ``scan_step_with_effect`` in ``helpers``)
+rescans the whole program at every step. The reference reducer is the
+plain loop ``normalize`` documents, run on the oracle: fire its first
+redex until no redex is left. The index must reproduce it exactly: the
+same trace lines and redexes, the same unit accounting, the same result,
+and the same state when fuel runs out. Along that run, ``find_redexes``
+must list the oracle's redexes, and ``step_with_effect`` must fire each
+of them as the oracle does.
 """
 import hashlib
 import random
@@ -20,7 +24,15 @@ from llbc import syntax as sx
 from llbc.errors import FuelExhausted
 from llbc.generate import GenConfig, ProgramGenerator
 
-from helpers import DEMOS, constructed_pipeline, count_calls, pipeline, spend_program
+from helpers import (
+    DEMOS,
+    constructed_pipeline,
+    count_calls,
+    pipeline,
+    scan_redexes,
+    scan_step_with_effect,
+    spend_program,
+)
 
 
 def reference_normalize(p, fuel):
@@ -28,12 +40,12 @@ def reference_normalize(p, fuel):
     trace = []
     burned, discarded, duplicated = Counter(), Counter(), Counter()
     while True:
-        redexes = rd.find_redexes(p)
+        redexes = scan_redexes(p)
         if not redexes:
             return rd.NormalizeResult(p, steps, tuple(trace), burned, discarded, duplicated)
         if steps >= fuel:
             raise FuelExhausted(p, steps)
-        p, effect = rd.step_with_effect(p, redexes[0])
+        p, effect = scan_step_with_effect(p, redexes[0])
         steps += 1
         burned.update(effect.burned)
         discarded.update(effect.discarded)
@@ -68,6 +80,32 @@ def assert_same_run(p, fuel, lines=True):
     assert got.burned == expected.burned
     assert got.discarded == expected.discarded
     assert got.duplicated == expected.duplicated
+
+
+def accounts(effect):
+    return effect.burned, effect.discarded, effect.duplicated
+
+
+def assert_every_redex(p) -> int:
+    """Along the oracle's leftmost run from ``p``, ``find_redexes`` lists
+    the oracle's redexes at every state, and ``step_with_effect`` fires
+    each of them as the oracle does: the same program and the same three
+    accounts. Returns the number of (state, redex) steps checked."""
+    checked = 0
+    while True:
+        redexes = scan_redexes(p)
+        assert rd.find_redexes(p) == redexes, parser.render(p)
+        successors = []
+        for redex in redexes:
+            got, got_effect = rd.step_with_effect(p, redex)
+            expected, effect = scan_step_with_effect(p, redex)
+            assert got == expected, (parser.render(p), redex)
+            assert accounts(got_effect) == accounts(effect), (parser.render(p), redex)
+            successors.append(expected)
+        if not successors:
+            return checked
+        checked += len(successors)
+        p = successors[0]
 
 
 def uninterned(p):
@@ -391,28 +429,56 @@ class TestIndexEdgeCases:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_address_graphs(self, seed):
-        # Untyped programs over a few addresses: addresses held by three or
-        # more sides, self-loops, fusions that leave a self-loop or keep the
-        # mediator, and Pair cuts between them. A fused transaction may take
-        # over its left record in place, so every entry left in the queue
-        # must stay right about the records it names.
-        rng = random.Random(f"graphs/{seed}")
-        names = [sx.Address(f"a{i}") for i in range(6)]
-
-        def side():
-            roll = rng.random()
-            if roll < 0.7:
-                return sx.Addr(rng.choice(names))
-            if roll < 0.8:
-                return sx.Unit("satoshi")
-            kind = sx.Iso if roll < 0.9 else sx.Conn
-            return kind(sx.Addr(rng.choice(names)), sx.Addr(rng.choice(names)))
-
-        for _ in range(300):
-            txns = [sx.Transaction(side(), side()) for _ in range(rng.randrange(1, 10))]
-            p = sx.Program((), tuple(txns))
+        # A fused transaction may take over its left record in place, so
+        # every entry left in the queue must stay right about the records
+        # it names.
+        for p in random_address_graphs(seed):
             for fuel in (rd.DEFAULT_FUEL, 1, 2, 4):
                 assert_same_run(p, fuel)
+
+
+def random_address_graphs(seed):
+    """Untyped programs over a few addresses: addresses held by three or
+    more sides, self-loops, fusions that leave a self-loop or keep the
+    mediator, and Pair cuts between them."""
+    rng = random.Random(f"graphs/{seed}")
+    names = [sx.Address(f"a{i}") for i in range(6)]
+
+    def side():
+        roll = rng.random()
+        if roll < 0.7:
+            return sx.Addr(rng.choice(names))
+        if roll < 0.8:
+            return sx.Unit("satoshi")
+        kind = sx.Iso if roll < 0.9 else sx.Conn
+        return kind(sx.Addr(rng.choice(names)), sx.Addr(rng.choice(names)))
+
+    for _ in range(300):
+        txns = [sx.Transaction(side(), side()) for _ in range(rng.randrange(1, 10))]
+        yield sx.Program((), tuple(txns))
+
+
+class TestEveryRedex:
+    """The differential above follows leftmost runs only; here every redex
+    of every state on them is listed and fired by both reducers."""
+
+    @pytest.mark.parametrize("bias", [0.25, 0.8])
+    def test_generated_programs(self, bias):
+        checked = sum(assert_every_redex(p) for p in generated(seed=2024, count=300, bias=bias))
+        assert checked > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_address_graphs(self, seed):
+        checked = sum(assert_every_redex(p) for p in random_address_graphs(seed))
+        assert checked > 0
+
+    def test_pipelines_and_demos(self):
+        rng = random.Random("every-redex")
+        programs = [pipeline(40, 3, rng), constructed_pipeline(20, 2, rng, loops=(3, 7, 11))]
+        for path in sorted(DEMOS.glob("*.llbc")):
+            programs.append(parser.parse_script(path.read_text(encoding="utf-8"))[0])
+        for p in programs:
+            assert assert_every_redex(p) >= rd.normalize(p).steps
 
 
 class TestScaling:

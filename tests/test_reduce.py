@@ -49,6 +49,11 @@ class TestFindRedexes:
         p = pending("(x){ txn(x, x); txn(x, satoshi) }")
         assert rd.Redex("Transaction", 0, 1) in rd.find_redexes(p)
 
+    def test_pair_over_two_addresses_is_one_redex(self):
+        # Both a and b could mediate; the pair is still listed once.
+        p = pending("(){ txn(a, b); txn(b, a) }")
+        assert rd.find_redexes(p) == [rd.Redex("Transaction", 0, 1)]
+
     def test_leftmost_order(self):
         p = pending("(){ txn(a * b, c # d); txn(e, x); txn(x, f) }")
         redexes = rd.find_redexes(p)
@@ -139,6 +144,32 @@ class TestStepGolden:
             for redex in rd.find_redexes(program):
                 stepped = rd.step(program, redex)
                 assert stepped.interface == program.interface
+
+
+class TestStepRejects:
+    def test_transactions_sharing_an_address_used_four_times(self):
+        # txn(a, x) and txn(x, b) share x, but x also sits twice in the
+        # self-loop: only the loop's pairs are redexes.
+        p = pending("(a, b){ txn(a, x); txn(x, b); txn(x, x) }")
+        assert rd.find_redexes(p) == [rd.Redex("Transaction", 0, 2), rd.Redex("Transaction", 1, 2)]
+        with pytest.raises(ValueError):
+            rd.step(p, rd.Redex("Transaction", 0, 1))
+
+    @pytest.mark.parametrize(
+        "redex",
+        [
+            rd.Redex("Pair", 0),
+            rd.Redex("Transaction", 0),
+            rd.Redex("Transaction", 1, 0),
+            rd.Redex("Transaction", 0, 2),
+            rd.Redex("Left", 5),
+        ],
+    )
+    def test_anything_not_listed(self, redex):
+        p = pending("(a, b){ txn(a, x); txn(x, b) }")
+        assert redex not in rd.find_redexes(p)
+        with pytest.raises(ValueError):
+            rd.step_with_effect(p, redex)
 
 
 class TestNormalize:
