@@ -20,10 +20,12 @@ the left like explicit ``*``. ``//`` comments run to end of line. A script
 file may begin with a type header line ``-- types: A1, A2, ...`` declaring
 the interface types.
 
-``render`` is the inverse of parsing: ``parse(render(v))`` equals ``v`` up
-to source spans, and output carries only the parentheses the same table
-requires: the left operand of a level-L operator renders at level L, the
-right at L + 1.
+``render`` is the one printer, for both sorts, and the inverse of parsing:
+``parse(render(v))`` equals ``v`` up to source spans, and output carries
+only the parentheses the same table requires: the left operand of a
+level-L operator renders at level L, the right at L + 1. It reads a type
+at a polarity, asking ``syntax.connective`` what each node is when
+negated, so a type's dual prints without being built.
 """
 from __future__ import annotations
 
@@ -508,105 +510,102 @@ def _names(bound) -> str:
 def _listed(items, sep: str) -> list:
     parts: list = []
     for item in items:
-        parts += [sep, (item, 0)] if parts else [(item, 0)]
+        parts += [sep, (item, False, 0)] if parts else [(item, False, 0)]
     return parts
 
 
-# How each form that is not an infix operator prints: its text, or text
-# pieces and (sub-node, level) slots, left to right.
+# How each form that is not an infix operator prints when read at polarity
+# ``neg`` (only types are ever negated): its text, or text pieces and
+# (sub-node, polarity, level) slots, left to right.
 _LAYOUT = {
-    sx.Addr: lambda n: n.address.render(),
-    sx.Address: lambda n: n.render(),
-    sx.Unit: lambda n: n.unit,
-    sx.Dispose: lambda n: "_",
-    sx.Dual: lambda n: [(n.inner, _ATOM_LEVEL), "^"],
-    sx.Store: lambda n: ["?", (n.inner, _PREFIX_LEVEL)],
-    sx.Inl: lambda n: ["inl(", (n.inner, 0), ")"],
-    sx.Inr: lambda n: ["inr(", (n.inner, 0), ")"],
-    sx.Choose: lambda n: [f"choose({_names(n.bound)}){{ ", (n.left, 0), "; ", (n.right, 0), " }"],
-    sx.Bang: lambda n: [f"!({_names(n.bound)}){{ ", (n.body, 0), " }"],
-    sx.Transaction: lambda n: ["txn(", (n.left, 0), ", ", (n.right, 0), ")"],
-    sx.Program: lambda n: ["(", *_listed(n.interface, ", "), "){ ", *_listed(n.pending, "; "), " }"]
+    sx.Atom: lambda n, neg: n.unit + "^" if n.negated ^ neg else n.unit,
+    sx.OfCourse: lambda n, neg: ["!", (n.body, neg, _PREFIX_LEVEL)],
+    sx.WhyNot: lambda n, neg: ["?", (n.body, neg, _PREFIX_LEVEL)],
+    sx.Addr: lambda n, neg: n.address.render(),
+    sx.Address: lambda n, neg: n.render(),
+    sx.Unit: lambda n, neg: n.unit,
+    sx.Dispose: lambda n, neg: "_",
+    sx.Dual: lambda n, neg: [(n.inner, neg, _ATOM_LEVEL), "^"],
+    sx.Store: lambda n, neg: ["?", (n.inner, neg, _PREFIX_LEVEL)],
+    sx.Inl: lambda n, neg: ["inl(", (n.inner, neg, 0), ")"],
+    sx.Inr: lambda n, neg: ["inr(", (n.inner, neg, 0), ")"],
+    sx.Choose: lambda n, neg: [
+        f"choose({_names(n.bound)}){{ ", (n.left, neg, 0), "; ", (n.right, neg, 0), " }"
+    ],
+    sx.Bang: lambda n, neg: [f"!({_names(n.bound)}){{ ", (n.body, neg, 0), " }"],
+    sx.Transaction: lambda n, neg: ["txn(", (n.left, neg, 0), ", ", (n.right, neg, 0), ")"],
+    sx.Program: lambda n, neg: ["(", *_listed(n.interface, ", "), "){ ", *_listed(n.pending, "; "), " }"]
     if n.pending
     else ["(", *_listed(n.interface, ", "), "){}"],
 }
 
 
-def render(value) -> str:
-    """Concrete syntax for a program, transaction, expression, or type.
-    Iterative, so arbitrarily deep values are fine."""
-    if isinstance(value, sx.LinearType):
-        return render_type(value)
-    out: list[str] = []
-    sugar: dict[int, str | None] = {}
-    todo: list = [(value, 0)]
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        node, level = item
-        op = _OP_OF_NODE.get(type(node))
-        layout = _LAYOUT.get(type(node))
-        if type(node) is sx.Iso and id(node) not in sugar:
-            _sugar_spine(node, sugar)
-        sugared = sugar.get(id(node))
-        if sugared is not None:
-            out.append(sugared)
-        elif op is not None:
-            parts = ((node.right, op.level + 1), f" {op.text} ", (node.left, op.level))
-            todo += (")", *parts, "(") if op.level < level else parts
-        elif layout is not None:
-            parts = layout(node)
-            if type(parts) is str:
-                out.append(parts)
-            else:
-                todo += reversed(parts)
-        else:
-            raise TypeError(f"cannot render {node!r}")
-    return "".join(out)
+class _Cut(Exception):
+    """Raised by a bounded writer once it is past its limit."""
 
 
-# What the type printer writes for a prefix, and between the operands of
-# an infix connective.
-_PREFIX_OF_TYPE = {sx.WhyNot: "?", sx.OfCourse: "!"}
-_SPACED = {op.type: f" {op.text} " for op in _INFIX.values() if isinstance(op.type, type)}
-
-
-def render_type(t: sx.LinearType, negated: bool = False, chase=None, limit=None) -> str:
-    """Concrete syntax for ``t``, dualised when ``negated``. Iterative.
-
-    ``chase(node, negated)``, if given, names the node to print in place
-    of each one met and the polarity to read it at; a leaf from outside
-    the syntax, such as a checker's unknown, prints as ``str(leaf)``.
-    With ``limit``, writing stops once more than ``limit`` characters are
-    out, so a large type costs only the depth of its head.
-    """
-    out: list[str] = []
+def _bounded(out: list, limit: int):
+    """``out.append`` that raises :class:`_Cut` once more than ``limit``
+    characters are out."""
     size = 0
-    todo: list = [(t, negated, 0)]
-    while todo and (limit is None or size <= limit):
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-            size += len(item)
-            continue
-        node, neg, level = item
-        if chase is not None:
-            node, neg = chase(node, neg)
-        kind = sx.DUAL_CONNECTIVE.get(type(node), type(node)) if neg else type(node)
-        if kind is sx.Atom:
-            text = node.unit + "^" if node.negated ^ neg else node.unit
-        elif kind in _PREFIX_OF_TYPE:
-            todo += ((node.body, neg, _PREFIX_LEVEL), _PREFIX_OF_TYPE[kind])
-            continue
-        elif kind in _SPACED:
-            op = _OP_OF_NODE[kind]
-            parts = ((node.right, neg, op.level + 1), _SPACED[kind], (node.left, neg, op.level))
-            todo += (")", *parts, "(") if op.level < level else parts
-            continue
-        else:
-            text = str(node)
+
+    def write(text):
+        nonlocal size
         out.append(text)
         size += len(text)
+        if size > limit:
+            raise _Cut
+
+    return write
+
+
+def render(value, negated: bool = False, chase=None, limit=None) -> str:
+    """Concrete syntax for a program, transaction, expression, or type; a
+    type is read dualised when ``negated``. Iterative, so arbitrarily deep
+    values are fine.
+
+    ``chase(node, negated)``, if given, names the node to print in place
+    of each one met and the polarity to read it at; a type leaf from
+    outside the syntax, such as a checker's unknown, prints as
+    ``str(leaf)``. With ``limit``, writing stops once more than ``limit``
+    characters are out, so a large value costs only the depth of its head.
+    """
+    out: list[str] = []
+    write = out.append if limit is None else _bounded(out, limit)
+    sugar: dict[int, str | None] = {}
+    todo: list = [(value, negated, 0)]
+    try:
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                write(item)
+                continue
+            node, neg, level = item
+            if chase is not None:
+                node, neg = chase(node, neg)
+            kind = sx.connective(node, True) if neg else type(node)
+            if kind is sx.Iso:
+                if id(node) not in sugar:
+                    _sugar_spine(node, sugar)
+                if sugar[id(node)] is not None:
+                    write(sugar[id(node)])
+                    continue
+            op = _OP_OF_NODE.get(kind)
+            if op is not None:
+                parts = ((node.right, neg, op.level + 1), f" {op.text} ", (node.left, neg, op.level))
+                todo += (")", *parts, "(") if op.level < level else parts
+                continue
+            layout = _LAYOUT.get(kind)
+            if layout is not None:
+                parts = layout(node, neg)
+            elif isinstance(node, sx.LinearType):
+                parts = str(node)
+            else:
+                raise TypeError(f"cannot render {node!r}")
+            if type(parts) is str:
+                write(parts)
+            else:
+                todo += reversed(parts)
+    except _Cut:
+        pass
     return "".join(out)

@@ -324,6 +324,14 @@ class WhyNot(LinearType):
 DUAL_CONNECTIVE = {Tensor: Par, Par: Tensor, With: Plus, Plus: With, OfCourse: WhyNot, WhyNot: OfCourse}
 
 
+def connective(node, negated: bool) -> type:
+    """The connective ``node`` has when read dualised (``negated``) or as
+    it is: its class, or that class's De Morgan partner. Negation lives on
+    atoms, so an atom (and any other leaf) keeps its own kind."""
+    kind = type(node)
+    return DUAL_CONNECTIVE.get(kind, kind) if negated else kind
+
+
 def dual(t: LinearType) -> LinearType:
     """De Morgan dual; an involution on types in negation-normal form.
     Iterative, so arbitrarily deep types are fine."""

@@ -29,7 +29,7 @@ from .errors import (
     TypeCheckError,
     TypeMismatchError,
 )
-from .parser import render, render_type
+from .parser import render
 
 DEFAULT_UNIT = "satoshi"
 
@@ -97,15 +97,6 @@ class _UnifyError(Exception):
     pass
 
 
-# The shape a node has when read at a polarity: its connective, or that
-# connective's De Morgan partner when the polarity is negative.
-_DUAL_SHAPE = {**sx.DUAL_CONNECTIVE, sx.Atom: sx.Atom}
-
-
-def _shape(node, negated: bool) -> type:
-    return _DUAL_SHAPE[type(node)] if negated else type(node)
-
-
 class _Unifier:
     """Union-find over variable ids with path compression (Tarjan 1975) and
     a polarity bit on every edge: ``link[v] = (target, flip)`` says that
@@ -162,7 +153,7 @@ class _Unifier:
         """``t``, dualised when ``negated``, rendered for a diagnostic: cut
         to ``MAX_SHOWN_TYPE`` characters, ``...`` included. Variables are
         chased as the text is written, and writing stops at the cut."""
-        text = render_type(t, negated, self._chase, MAX_SHOWN_TYPE)
+        text = render(t, negated, self._chase, MAX_SHOWN_TYPE)
         return text if len(text) <= MAX_SHOWN_TYPE else text[: MAX_SHOWN_TYPE - 3] + "..."
 
     def _chase(self, t, negated):
@@ -210,8 +201,8 @@ class _Unifier:
                 else:
                     self.link[a] = (b, a_neg ^ b_neg)
                 continue
-            shape = _shape(a, a_neg)
-            if shape is not _shape(b, b_neg):
+            shape = sx.connective(a, a_neg)
+            if shape is not sx.connective(b, b_neg):
                 raise self._mismatch(a, a_neg, b, b_neg)
             if shape is sx.Atom:
                 if a.unit != b.unit or a.negated ^ a_neg != b.negated ^ b_neg:
@@ -240,12 +231,7 @@ class _Unifier:
             if kids is not None:  # its kids are resolved: build the node
                 got = tuple(done[-len(kids) :])
                 del done[-len(kids) :]
-                if neg:
-                    built = sx.DUAL_CONNECTIVE[type(node)](*got)
-                elif got[0] is kids[0] and got[-1] is kids[-1]:
-                    built = node
-                else:
-                    built = type(node)(*got)
+                built = sx.connective(node, neg)(*got)
                 memo[id(node), neg] = built
                 done.append(built)
                 continue
@@ -378,7 +364,7 @@ class _Scope:
         if expected is not None:
             node, neg = unifier.head(expected)
             if type(node) is not int:
-                if _shape(node, neg) is not cls:
+                if sx.connective(node, neg) is not cls:
                     raise TypeMismatchError(f"{what} cannot have type {unifier.shown(expected)}", span)
                 slots = sx.children(node)
                 return expected, tuple(map(unifier.neg, slots)) if neg else slots
@@ -493,7 +479,7 @@ class _Scope:
                 node, neg = unifier.head(g)
                 if type(node) is int:
                     unifier.unify(g, unifier.shaped(sx.WhyNot)[0])
-                elif _shape(node, neg) is not sx.WhyNot:
+                elif sx.connective(node, neg) is not sx.WhyNot:
                     raise PromotionContextError(
                         f"replication context must be ?-typed, found {unifier.shown(g)}", box.span
                     )
@@ -590,6 +576,7 @@ def check_expression(
     has type ``?btc``.
     """
     ctx = context.copy()
+    unifier = _Unifier()
     ports: list[sx.Expression] = []
     declared: list[sx.LinearType | None] = [expected]
 
@@ -608,7 +595,7 @@ def check_expression(
         if bound is not None:
             item[0] = sx.Addr(sx.Address(f"port{len(ports)}"))
             ports.append(item[0])
-            declared.append(sx.dual(bound))
+            declared.append(unifier.neg(bound))
             return ()
         if isinstance(node, sx.Addr):
             raise TypeMismatchError(
@@ -618,7 +605,6 @@ def check_expression(
         return () if isinstance(node, sx.Dual) else [[kid] for kid in sx.children(node)]
 
     body = sx.fold([e], lambda item, kids: sx.rebuild(item[0], kids) if kids else item[0], cut_out)
-    unifier = _Unifier()
     try:
         types, _ = _Scope(sx.Program((body, *ports), ()), declared, unifier).run()
     except _UnifyError as err:

@@ -496,14 +496,20 @@ class TestInputErrors:
         )
 
 
-def _loaded_modules(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter that imports llbc from this
-    checkout; it prints JSON, which is returned."""
+def _child(*args: str) -> subprocess.CompletedProcess:
+    """Run Python on ``args`` in a fresh interpreter that imports llbc
+    from this checkout."""
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "LLBC_UNITS")}
     env["PYTHONPATH"] = str(REPO / "src")
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=str(REPO), capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=str(REPO), capture_output=True, text=True, timeout=60
     )
+
+
+def _loaded_modules(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter (see :func:`_child`); it prints
+    JSON, which is returned."""
+    done = _child("-c", code)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -581,3 +587,12 @@ class TestImports:
         assert outcome["missing"] == []
         assert outcome["names"] == sorted(PACKAGE_NAMES)
 
+
+class TestDemoScripts:
+    """The README's walkthroughs run to the end without a word on stderr."""
+
+    @pytest.mark.parametrize("script", ["compose_chains.py", "run_spend_example.py", "typing_tour.py"])
+    def test_demo_runs(self, script):
+        done = _child(str(DEMOS / script))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout

@@ -152,7 +152,7 @@ class TestTypeSyntax:
         assert parser.render(right) == "satoshi * (" * (n - 2) + "satoshi * satoshi" + ")" * (n - 2)
         assert parser.render(sx.WhyNot(right)).startswith("?(satoshi * (satoshi")
 
-    def test_render_type_reads_a_dual(self):
+    def test_render_reads_a_dual(self):
         rng = random.Random(3)
         atoms = [sx.Atom("satoshi"), sx.Atom("btc", True)]
         kinds = [sx.Tensor, sx.Par, sx.With, sx.Plus, sx.OfCourse, sx.WhyNot]
@@ -165,17 +165,24 @@ class TestTypeSyntax:
                     t = kind(t)
                 else:
                     t = kind(other, t) if rng.random() < 0.5 else kind(t, other)
-            assert parser.render_type(t, True) == parser.render(sx.dual(t))
+            assert parser.render(t, True) == parser.render(sx.dual(t))
 
-    def test_render_type_stops_past_its_limit(self):
+    def test_render_stops_past_its_limit(self):
         deep = sx.Atom("satoshi")
         for _ in range(20000):
             deep = sx.Tensor(deep, sx.Atom("satoshi"))
-        whole = parser.render_type(deep, True)
-        head = parser.render_type(deep, True, limit=1000)
+        whole = parser.render(deep, True)
+        head = parser.render(deep, True, limit=1000)
         assert 1000 < len(head) < 1100 and whole.startswith(head)
         short = parser.parse_type("!(satoshi + btc)")
-        assert parser.render_type(short, limit=len("!(satoshi + btc)")) == "!(satoshi + btc)"
+        assert parser.render(short, limit=len("!(satoshi + btc)")) == "!(satoshi + btc)"
+        # An expression stops too: alternating units leave no sugar to
+        # shorten the chain.
+        chain = sx.Unit("satoshi")
+        for i in range(20000):
+            chain = sx.Iso(chain, sx.Unit("btc" if i % 2 == 0 else "satoshi"))
+        head = parser.render(chain, limit=1000)
+        assert 1000 < len(head) < 1100 and parser.render(chain).startswith(head)
 
     def test_dual_is_negation_normal(self):
         t = parser.parse_type("(satoshi * (btc & doge))^")

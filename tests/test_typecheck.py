@@ -548,6 +548,19 @@ class TestCheckExpression:
         with pytest.raises(TypeCheckError):
             tc.check_expression(parser.parse_expression("a"), tc.TypeContext())
 
+    def test_ports_are_declared_without_building_a_dual(self, monkeypatch):
+        # Each consumed binding's port is declared at the unifier's
+        # constant-time dual of its type, not at a rebuilt one.
+        a, b = parser.parse_expression("a"), parser.parse_expression("b")
+        ctx = tc.TypeContext(
+            [(a, parser.parse_type("satoshi * btc")), (b, parser.parse_type("?btc"))]
+        )
+        duals = count_calls(monkeypatch, sx, "dual")
+        t, residual = tc.check_expression(parser.parse_expression("a # b"), ctx)
+        assert duals == []
+        assert parser.render(t) == "satoshi * btc # ?btc"
+        assert residual.fully_consumed()
+
 
 def _tensor(n, unit="satoshi"):
     t = sx.Atom(unit)
