@@ -38,15 +38,12 @@ class DualityError(LlbcError):
 class TypeCheckError(LlbcError):
     kind = "type"
 
-    def __init__(self, message, span=None):
-        super().__init__(message, span)
-
 
 class NonLinearAddressError(TypeCheckError):
     kind = "non-linear-address"
 
-    def __init__(self, address, count, message=None, span=None):
-        super().__init__(message or f"address {address} occurs {count} time(s)", span)
+    def __init__(self, address, count, span=None):
+        super().__init__(f"address {address} occurs {count} time(s)", span)
         self.address = address
         self.count = count
 
@@ -77,8 +74,8 @@ class FuelExhausted(LlbcError):
 class NotInLedgerForm(LlbcError):
     kind = "ledger-form"
 
-    def __init__(self, index, transaction, message=None):
-        super().__init__(message or f"pending transaction {index} is not in ledger form")
+    def __init__(self, index, transaction):
+        super().__init__(f"pending transaction {index} is not in ledger form")
         self.index = index
         self.transaction = transaction
 

@@ -309,21 +309,18 @@ class _RedexIndex:
 
     def redexes(self) -> list[tuple[Redex, tuple]]:
         """Each redex with an entry that fires it, in key order: one per
-        valid heap entry key, with positions read off the label ranks (a
-        local entry's partner label, ``()``, has none)."""
-        occurrences, valid = self.occurrences, {}
-        for entry in self.heap:
-            record, partner, key = entry[4], entry[5], entry[6]
-            if record.alive and (
-                partner is None
-                or partner.alive
-                and _fusable(record.sides, partner.sides, key, occurrences[key])
-            ):
-                valid.setdefault(entry[:3], entry)
+        valid heap entry key, the one ``leftmost`` would pop first, with
+        positions read off the label ranks (a local entry's partner label,
+        ``()``, has none). Drains a copy of the heap through ``leftmost``,
+        which pops in key order."""
+        heap, self.heap, valid = self.heap, self.heap[:], {}
+        while (entry := self.leftmost()) is not None:
+            valid.setdefault(entry[:3], entry)
+        self.heap = heap
         rank = {label: i for i, label in enumerate(sorted(r.label for r in self.live))}
         return [
             (Redex(RULE_ORDER[priority], rank[label], rank.get(partner_label)), entry)
-            for (label, priority, partner_label), entry in sorted(valid.items())
+            for (label, priority, partner_label), entry in valid.items()
         ]
 
     def redex(self, entry) -> Redex:

@@ -52,14 +52,6 @@ def _rebuild(self, kids):
 {rebuilt}
     return new
 """
-# Without children, equality and hash need no iteration.
-_LEAF = """
-def __eq__(self, other):
-    return self is other or (NotImplemented if type(other) is not _cls else {same})
-_kids = _no_kids
-_rebuild = _unchanged
-__hash__ = _leaf_hash
-"""
 # Compiled code per layout, shared by the classes of one layout, such as
 # the binary connectives.
 _COMPILED: dict = {}
@@ -95,9 +87,6 @@ def _methods_code(spec: dict, defaulted: tuple, checked: bool):
         source += _TRUSTED.format(params=params, sets=sets)
     if kids:
         source += _BRANCH.format(kids="".join(k + ", " for k in kids), rebuilt="\n".join(rebuilt))
-    else:
-        same = " and ".join(f"self.{n} == other.{n}" for n, role in spec.items() if role is DATA)
-        source += _LEAF.format(same=same or "True")
     code = _COMPILED[layout] = compile(source, "<node methods>", "exec")
     return code
 
@@ -119,21 +108,15 @@ def _leaf_hash(self):
         return self._hash
 
 
-def _less(self, other):
-    if type(other) is not type(self):
-        return NotImplemented
-    return self._key() < other._key()
-
-
 class Node:
     """Base of every immutable record in the package.
 
     A subclass states its fields, in constructor order, as a ``__slots__``
     dict from name to role: ``CHILD``, ``CHILDREN``, ``DATA`` or ``SPAN``
     (default None; outside equality, hash and repr). ``DEFAULTS`` gives
-    trailing fields defaults, ``_check`` validates what the constructor
-    builds, and ``order=True`` orders nodes by their data. ``==`` and the
-    cached ``hash`` are iterative, so deep trees are fine.
+    trailing fields defaults, and ``_check`` validates what the constructor
+    builds. ``==`` and the cached ``hash`` are iterative, so deep trees are
+    fine; a leaf (a node without children) hashes its data alone.
 
     ``cls.trusted(...)`` takes the constructor's arguments and skips
     ``_check``, for values already known to pass it: it is generated for
@@ -142,7 +125,7 @@ class Node:
 
     __slots__ = ("_hash",)
 
-    def __init_subclass__(cls, order: bool = False, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         spec = cls.__dict__.get("__slots__")
         if not isinstance(spec, dict):
@@ -155,21 +138,17 @@ class Node:
             "__name__": cls.__module__,
             "_new": object.__new__,
             "_cls": cls,
-            "_no_kids": _no_kids,
-            "_unchanged": _unchanged,
-            "_leaf_hash": _leaf_hash,
         }
         namespace.update((f"_set_{n}", cls.__dict__[n].__set__) for n in spec)
         namespace.update((f"_default_{n}", value) for n, value in defaults.items())
         exec(_methods_code(spec, tuple(defaults), hasattr(cls, "_check")), namespace)
-        for name in ("__init__", "_kids", "_key", "_rebuild", "__eq__", "__hash__"):
+        if "_kids" not in namespace:  # a leaf
+            namespace.update(_kids=_no_kids, _rebuild=_unchanged, __hash__=_leaf_hash)
+        for name in ("__init__", "_kids", "_key", "_rebuild", "__hash__"):
             if name in namespace:
                 setattr(cls, name, namespace[name])
         # Without a ``_check``, the constructor trusts its values already.
         cls.trusted = staticmethod(namespace["trusted"]) if "trusted" in namespace else cls
-        if order:
-            cls.__lt__ = _less
-            functools.total_ordering(cls)
 
     def replace(self, **changes):
         """A copy with the named fields changed, checked like a new node."""
@@ -246,11 +225,12 @@ RIGHT = "r"
 _SIDES = (LEFT, RIGHT)
 
 
-class Address(Node, order=True):
+@functools.total_ordering
+class Address(Node):
     """A named port, plus the freshness path the reducer appends when copying.
 
     Addresses with a non-empty freshness path are reducer output; scripts are
-    normally written with bare names.
+    normally written with bare names. Addresses order by name, then path.
     """
 
     __slots__ = {"name": DATA, "path": DATA}
@@ -270,6 +250,11 @@ class Address(Node, order=True):
 
     def render(self) -> str:
         return self.name + "".join("." + side for side in self.path)
+
+    def __lt__(self, other):
+        if type(other) is not Address:
+            return NotImplemented
+        return (self.name, self.path) < (other.name, other.path)
 
 
 class Interned(dict):
@@ -465,7 +450,7 @@ def rebuild(node, kids):
     return node._rebuild(kids)
 
 
-def walk(value, children=children) -> Iterator:
+def walk(value) -> Iterator:
     """Every node under ``value``, pre-order, left to right. Iterative."""
     stack = [value]
     while stack:

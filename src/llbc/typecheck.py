@@ -26,7 +26,6 @@ from .errors import (
     BranchContextMismatchError,
     NonLinearAddressError,
     PromotionContextError,
-    TypeCheckError,
     TypeMismatchError,
 )
 from .parser import render
@@ -105,17 +104,21 @@ class _Unifier:
     numbered ``T<n>`` in creation order; negative ids name a compound
     type's dual. Only nodes made by :meth:`shaped` hold variables; all
     other nodes are ground syntax and never walked for them.
+
+    Only :meth:`unify` can fail. A free variable that a rule forces into a
+    shape is linked to a :meth:`shaped` node directly: its variables are
+    new, so the occurs test ``unify`` would make is false.
     """
 
     def __init__(self):
         self.link: dict[int, tuple] = {}
-        self.created: list[int] = []
+        self.created = 0  # ``fresh`` has made the ids 1..created
         self._hidden = 0
         self._open: set[int] = set()  # ids of the nodes made by ``shaped``
 
     def fresh(self) -> _TVar:
-        self.created.append(len(self.created) + 1)
-        return _TVar(self.created[-1])
+        self.created += 1
+        return _TVar(self.created)
 
     def shaped(self, cls) -> tuple[sx.LinearType, tuple[_TVar, ...]]:
         """A ``cls`` node over fresh variables, and those variables."""
@@ -258,7 +261,7 @@ class _Unifier:
     def default_leftovers(self):
         """Bind every still-free variable to the default currency atom."""
         fallback = sx.Atom(DEFAULT_UNIT)
-        for var_id in self.created:
+        for var_id in range(1, self.created + 1):
             if var_id not in self.link:
                 self.link[var_id] = (fallback, False)
 
@@ -349,17 +352,16 @@ class _Scope:
 
     def _type_txn(self, txn) -> tuple:
         left = self._type_expr(txn.left, None)
-        try:
-            right = self._type_expr(txn.right, self.unifier.neg(left[2]))
-        except _UnifyError as err:
-            raise TypeMismatchError(f"transaction joins non-dual types: {err}", txn.span) from None
+        right = self._type_expr(txn.right, self.unifier.neg(left[2]))
         return ("Cut", txn, left[2], (left, right))
 
     # -- expression typing ------------------------------------------------------
 
     def _want(self, expected, cls, span, what):
         """Force ``expected`` into shape ``cls``, returning it and its
-        child slots."""
+        child slots. A free variable is bound to a ``cls`` node over fresh
+        variables without ``unify``: they are new, so it cannot occur in
+        them, and the bind cannot fail."""
         unifier = self.unifier
         if expected is not None:
             node, neg = unifier.head(expected)
@@ -370,7 +372,7 @@ class _Scope:
                 return expected, tuple(map(unifier.neg, slots)) if neg else slots
         shaped, slots = unifier.shaped(cls)
         if expected is not None:
-            unifier.unify(expected, shaped)
+            unifier.link[node] = (shaped, neg)
         return shaped, slots
 
     def _type_expr(self, e, expected) -> tuple:
@@ -478,7 +480,7 @@ class _Scope:
             for g in context:
                 node, neg = unifier.head(g)
                 if type(node) is int:
-                    unifier.unify(g, unifier.shaped(sx.WhyNot)[0])
+                    unifier.link[node] = (unifier.shaped(sx.WhyNot)[0], neg)
                 elif sx.connective(node, neg) is not sx.WhyNot:
                     raise PromotionContextError(
                         f"replication context must be ?-typed, found {unifier.shown(g)}", box.span
@@ -498,16 +500,10 @@ def check(program: sx.Program, declared) -> TypedJudgment:
     Linear in the size of the program and its declared types.
     """
     unifier = _Unifier()
-    scope = _Scope(program, list(declared), unifier)
-    try:
-        types, derivation = scope.run()
-    except _UnifyError as err:
-        raise TypeMismatchError(str(err), program.span) from None
+    types, derivation = _Scope(program, list(declared), unifier).run()
     unifier.default_leftovers()
     memo: dict = {}
     types = [unifier.resolve(t, memo=memo) for t in types]
-    if any(isinstance(n, _TVar) for t in types for n in sx.walk(t)):
-        raise TypeMismatchError("could not resolve all interface types", program.span)
 
     # Nothing binds from here on, so ``memo`` stays valid for the build;
     # the closure keeps alive the nodes whose ids key it.
@@ -605,10 +601,7 @@ def check_expression(
         return () if isinstance(node, sx.Dual) else [[kid] for kid in sx.children(node)]
 
     body = sx.fold([e], lambda item, kids: sx.rebuild(item[0], kids) if kids else item[0], cut_out)
-    try:
-        types, _ = _Scope(sx.Program((body, *ports), ()), declared, unifier).run()
-    except _UnifyError as err:
-        raise TypeMismatchError(str(err), e.span) from None
+    types, _ = _Scope(sx.Program((body, *ports), ()), declared, unifier).run()
     result = unifier.resolve(types[0])
     if any(isinstance(n, _TVar) for n in sx.walk(result)):
         raise TypeMismatchError("could not resolve the expression's type", e.span)

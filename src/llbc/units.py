@@ -38,10 +38,9 @@ def load_units(path: str) -> frozenset[str]:
     return frozenset(units)
 
 
-def active_units(env: dict | None = None) -> frozenset[str]:
+def active_units() -> frozenset[str]:
     """The registry for this process: defaults plus any LLBC_UNITS file."""
-    env = os.environ if env is None else env
-    path = env.get(UNITS_ENV_VAR)
+    path = os.environ.get(UNITS_ENV_VAR)
     if path:
         return DEFAULT_UNITS | load_units(path)
     return DEFAULT_UNITS

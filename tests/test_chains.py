@@ -425,6 +425,10 @@ class TestJson:
         with pytest.raises(ValueError, match="positive integer"):
             transfer("a", "b", True)
 
+    def test_freshness_path_rejected(self):
+        with pytest.raises(ValueError, match="without freshness marks"):
+            ch.Transfer(A("a", ("l",)), A("b"), 1, "btc")
+
     @pytest.mark.parametrize(
         "payload, msg",
         [

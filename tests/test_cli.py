@@ -409,6 +409,16 @@ class TestUnitsRegistry:
         assert code == 1
         assert err.startswith("ERROR kind=ledger-form")
 
+    def test_bad_registry_token_is_an_io_error(self, capsys, tmp_path, monkeypatch):
+        registry = tmp_path / "units.txt"
+        registry.write_text("gil\nno-unit\n")
+        script = tmp_path / "plain.llbc"
+        script.write_text("(x){ txn(x, satoshi) }\n")
+        monkeypatch.setenv("LLBC_UNITS", str(registry))
+        code, out, err = run_cli(capsys, "check", str(script))
+        assert (code, out) == (1, "")
+        assert err == "ERROR kind=io msg=\"invalid currency unit token: 'no-unit'\"\n"
+
 
 class TestInputErrors:
     def test_directory_is_an_io_error(self, capsys, tmp_path):
@@ -429,6 +439,9 @@ class TestInputErrors:
             ("\n  -- type: x\n(a){}", "span=2:3 msg=\"a '--' line must be a type header of the form '-- types: ...'\""),
             # A superscript digit is not a multiplier: it lexes as a name.
             ("(a){ txn(a, \u00b2.satoshi) }", "span=1:13 msg=\"invalid address name: '\\u00b2'\""),
+            # A bound list names addresses, not units or keywords.
+            ("(){ txn(!(satoshi){ (a){} }, _) }", "span=1:11 msg=\"'satoshi' cannot be used as a bound address\""),
+            ("(){ txn(!(txn){ (a){} }, _) }", "span=1:11 msg=\"'txn' cannot be used as a bound address\""),
         ],
     )
     def test_parse_error_line(self, capsys, tmp_path, source, line):

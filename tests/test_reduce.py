@@ -198,6 +198,10 @@ class TestNormalize:
         assert isinstance(err.value.state, sx.Program)
         assert rd.find_redexes(err.value.state)
 
+    def test_negative_fuel_rejected(self):
+        with pytest.raises(ValueError, match="fuel must be non-negative"):
+            rd.normalize(spend_program(), fuel=-1)
+
     def test_trace_format(self):
         result = rd.normalize(spend_program(), fuel=100, trace=True)
         first = result.trace[0]

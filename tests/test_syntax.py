@@ -140,6 +140,14 @@ class TestRename:
         assert sx.rename(x, "l") != x
         assert sx.rename(x, "l") != sx.rename(x, "r")
 
+    def test_only_the_two_sides_extend_a_path(self):
+        with pytest.raises(ValueError, match="invalid freshness path"):
+            sx.Address("a", ("x",))
+        with pytest.raises(ValueError, match="freshness side must be 'l' or 'r'"):
+            sx.Address("a").extended("x")
+        with pytest.raises(ValueError, match="freshness side must be 'l' or 'r'"):
+            sx.rename(parser.parse_expression("a * b"), "x")
+
     def test_structural(self):
         t = parser.parse_program("(){ txn(a, b * c) }").pending[0]
         renamed = sx.rename(t, "r")
@@ -398,6 +406,16 @@ class TestNode:
     def test_addresses_order_by_name_then_path(self):
         addresses = [sx.Address("b"), sx.Address("a", ("r",)), sx.Address("a"), sx.Address("a", ("l",))]
         assert [a.render() for a in sorted(addresses)] == ["a", "a.l", "a.r", "b"]
+        assert sx.Address("a", ("r",)) >= sx.Address("a", ("l",)) > sx.Address("a")
+        with pytest.raises(TypeError):
+            sx.Address("a") < 1
+
+    def test_leaves_compare_by_class_and_data(self):
+        assert sx.Atom("btc") == sx.Atom("btc", span=sx.SourceSpan(0, 3, 1, 1))
+        assert hash(sx.Atom("btc")) == hash(sx.Atom("btc"))
+        assert sx.Atom("btc") != sx.Atom("btc", True)
+        assert sx.Atom("btc") != sx.Unit("btc") and sx.Unit("btc") != sx.Atom("btc")
+        assert sx.Dispose() == sx.Dispose() and len({sx.Dispose(), sx.Dispose()}) == 1
 
 
 class TestAlphaTransitivity:

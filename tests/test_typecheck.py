@@ -263,6 +263,16 @@ class TestDerivationReplay:
         )
         assert not tc.replay(bad)
 
+    def test_replay_rejects_a_malformed_root(self):
+        judgment = check_src("(x){ txn(x, satoshi) }", "satoshi")
+        root = judgment.derivation
+        for bad_root in (
+            tc.Derivation("Cut", root.node, None, root.children),
+            tc.Derivation("Program", root.node, None, root.children[:1]),
+        ):
+            bad = tc.TypedJudgment(judgment.program, judgment.interface_types, bad_root)
+            assert not tc.replay(bad)
+
 
 _S, _B = sx.Atom("satoshi"), sx.Atom("btc")
 _X = sx.Addr(sx.Address("x"))
@@ -487,6 +497,21 @@ class TestDeclaredTypes:
         assert judgment.interface_types == (sx.Atom("btc"),)
 
 
+class TestUntypableNodes:
+    """Nodes no typing rule covers: a dual marker off a literal, and a
+    node that is not an expression."""
+
+    def test_dual_marker_on_an_address(self):
+        program = sx.Program((sx.Dual(sx.Addr(sx.Address("a"))),), ())
+        with pytest.raises(TypeMismatchError, match="^dual marker survives only on literals$"):
+            tc.check(program, [sx.Atom("satoshi")])
+
+    def test_foreign_node(self):
+        program = sx.Program((sx.Atom("satoshi"),), ())
+        with pytest.raises(TypeMismatchError, match="^cannot type Atom$"):
+            tc.check(program, [sx.Atom("satoshi")])
+
+
 class TestCheckExpression:
     def test_isolation_splits_context(self):
         a, b = parser.parse_expression("a"), parser.parse_expression("b")
@@ -560,6 +585,84 @@ class TestCheckExpression:
         assert duals == []
         assert parser.render(t) == "satoshi * btc # ?btc"
         assert residual.fully_consumed()
+
+
+# ``check_expression`` cases: the expression, its context bindings and the
+# expected type (None: unconstrained), all in concrete syntax.
+_EXPRESSION_CASES = [
+    ("a * b", [("a", "satoshi"), ("b", "btc")], None),
+    ("inl(a)", [("a", "satoshi")], "satoshi + btc"),
+    ("inl(a)", [("a", "satoshi")], None),
+    ("t @ u", [("t", "?satoshi"), ("u", "?satoshi")], None),
+    ("_ @ b", [("b", "?btc")], None),
+    ("choose(m){ (satoshi, btc){}; (satoshi, btc){} }", [], None),
+    ("satoshi^", [("satoshi", "btc")], None),
+    ("a", [("a", "satoshi"), ("b", "btc")], None),
+    ("a", [], None),
+    ("a # b", [("a", "satoshi * btc"), ("b", "?btc")], None),
+]
+
+
+class TestUnifyOnlyWhereItCanFail:
+    """``unify`` runs only where a unification can fail: a free variable
+    forced into a shape is linked to a node over fresh variables directly,
+    and each place that calls ``unify`` names its own failure."""
+
+    def test_fresh_shapes_bind_without_unify(self, monkeypatch):
+        # x's first occurrence is a free variable that the literal's n - 1
+        # isolations shape one tensor at a time, with no unify. What
+        # unifies: the n literal leaves, x's second occurrence, and a's.
+        n = 1000
+        program = parser.parse_program(f"(a){{ txn(x, {n}.satoshi); txn(x, a) }}")
+        unifies = count_calls(monkeypatch, tc._Unifier, "unify")
+        occurs = count_calls(monkeypatch, tc._Unifier, "_occurs")
+        judgment = tc.check(program, [_tensor(n)])
+        assert judgment.interface_types == (_tensor(n),)
+        assert len(unifies) <= n + 2
+        assert len(occurs) <= n + 1
+
+    def test_no_unify_error_escapes(self, monkeypatch):
+        # With every unification failing, checking still ends in a
+        # TypeCheckError (or a judgment): no internal error leaves it.
+        def refuse(self, a, b, negated=False):
+            raise tc._UnifyError("refused")
+
+        monkeypatch.setattr(tc._Unifier, "unify", refuse)
+        refused = 0
+        plain = ProgramGenerator(seed=1919)
+        biased = ProgramGenerator(seed=1920, config=GenConfig(exponential_bias=0.8))
+        for i in range(200):
+            generated = (biased if i % 2 else plain).typed_program()
+            try:
+                tc.check(generated.program, generated.declared)
+            except TypeCheckError as err:
+                refused += "refused" in err.message
+        for source, bindings, expected in _EXPRESSION_CASES:
+            context = tc.TypeContext(
+                (parser.parse_expression(e), parser.parse_type(t)) for e, t in bindings
+            )
+            try:
+                tc.check_expression(
+                    parser.parse_expression(source),
+                    context,
+                    None if expected is None else parser.parse_type(expected),
+                )
+            except TypeCheckError as err:
+                refused += "refused" in err.message
+        assert refused >= 200
+
+    def test_accepted_judgments_hold_no_variable(self):
+        # Every interface type left open: holes are defaulted before a
+        # judgment is built, so neither its interface types nor its
+        # derivation's types hold a T<n>.
+        plain = ProgramGenerator(seed=2121)
+        biased = ProgramGenerator(seed=2122, config=GenConfig(exponential_bias=0.8))
+        for i in range(300):
+            program = (biased if i % 2 else plain).typed_program().program
+            judgment = tc.check(program, [None] * len(program.interface))
+            types = [*judgment.interface_types]
+            types += [node.type for node in sx.walk(judgment.derivation) if node.type is not None]
+            assert not any(type(node) is tc._TVar for t in types for node in sx.walk(t))
 
 
 def _tensor(n, unit="satoshi"):
