@@ -35,11 +35,13 @@ def _groundable(t: sx.LinearType) -> bool:
             return False
 
 
+_UNITS = tuple(sorted(DEFAULT_UNITS))
+
+
 class GenConfig(sx.Node):
     DEFAULTS = {
         "max_type_depth": 3,
         "max_expr_depth": 6,
-        "units": tuple(sorted(DEFAULT_UNITS)),
         # Weight of picking an exponential cut at top level; raise it to
         # exercise the Read/Dispose/Copy rules densely.
         "exponential_bias": 0.25,
@@ -77,7 +79,7 @@ class ProgramGenerator:
         return sx.Address(f"{stem}{self._counter}")
 
     def unit(self) -> str:
-        return self.rng.choice(self.config.units)
+        return self.rng.choice(_UNITS)
 
     def random_type(self, depth: int | None = None, groundable: bool = False) -> sx.LinearType:
         depth = self.config.max_type_depth if depth is None else depth
@@ -264,17 +266,12 @@ class ProgramGenerator:
 
     # -- whole programs ------------------------------------------------------------
 
-    def typed_program(
-        self,
-        cuts: int | None = None,
-        ports: int | None = None,
-        depth: int | None = None,
-    ) -> GeneratedProgram:
+    def typed_program(self) -> GeneratedProgram:
         rng = self.rng
         cfg = self.config
-        depth = cfg.max_expr_depth if depth is None else depth
-        cuts = rng.randrange(1, cfg.max_cuts + 1) if cuts is None else cuts
-        ports = rng.randrange(0, cfg.max_ports + 1) if ports is None else ports
+        depth = cfg.max_expr_depth
+        cuts = rng.randrange(1, cfg.max_cuts + 1)
+        ports = rng.randrange(0, cfg.max_ports + 1)
         entries: list[tuple[sx.Expression, sx.LinearType]] = []
         pending: list[sx.Transaction] = []
         pool: list[tuple[sx.Address, sx.LinearType, int]] = []
@@ -332,19 +329,14 @@ class ChainGenerator:
         from . import chains as ch
 
         blocks = []
-        names = [self.fresh_name(prefix) for _ in range(max(4, transfers_per_block * 2))]
+        count = max(4, transfers_per_block * 2)
+        addresses = [sx.Address(self.fresh_name(prefix)) for _ in range(count)]
         for _ in range(height):
             transfers = []
             for _ in range(self.rng.randrange(1, transfers_per_block + 1)):
-                source, target = self.rng.sample(names, 2)
-                transfers.append(
-                    ch.Transfer(
-                        sx.Address(source),
-                        sx.Address(target),
-                        self.rng.randrange(1, 9),
-                        self.rng.choice(self.units),
-                    )
-                )
+                source, target = self.rng.sample(addresses, 2)
+                amount, unit = self.rng.randrange(1, 9), self.rng.choice(self.units)
+                transfers.append(ch.Transfer(source, target, amount, unit))
             blocks.append(ch.Block(tuple(transfers)))
         return ch.Chain(tuple(blocks))
 

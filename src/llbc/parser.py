@@ -217,12 +217,7 @@ class _Parser:
 
     def program(self) -> sx.Program:
         begin = self.expect("LPAREN")
-        interface: list[sx.Expression] = []
-        if not self.at("RPAREN"):
-            interface.append(self.infix(_EXPR))
-            while self.at("COMMA"):
-                self.next()
-                interface.append(self.infix(_EXPR))
+        interface = [] if self.at("RPAREN") else self.listed(_EXPR)
         self.expect("RPAREN")
         self.expect("LBRACE")
         pending: list[sx.Transaction] = []
@@ -236,6 +231,14 @@ class _Parser:
                 pending.append(self.transaction())
         self.expect("RBRACE")
         return sx.Program(tuple(interface), tuple(pending), self.span_from(begin))
+
+    def listed(self, sort: str) -> list:
+        """One or more operands of ``sort``, separated by commas."""
+        items = [self.infix(sort)]
+        while self.at("COMMA"):
+            self.next()
+            items.append(self.infix(sort))
+        return items
 
     def transaction(self) -> sx.Transaction:
         tok = self.tokens[self.pos]
@@ -470,11 +473,7 @@ def parse_script(
         declared = []
         if text[start:end].strip():
             header = _Parser(_blank(text[:start]) + text[start:end], units)
-            declared.append(header.infix(_TYPE))
-            while header.at("COMMA"):
-                header.next()
-                declared.append(header.infix(_TYPE))
-            header.finish(declared)
+            declared = header.finish(header.listed(_TYPE))
         body = text[:offset] + _blank(text[offset:end]) + text[end:]
     return parse_program(body, units), declared
 
@@ -562,7 +561,7 @@ def _bounded(out: list, limit: int):
 def render(value, negated: bool = False, chase=None, limit=None) -> str:
     """Concrete syntax for a program, transaction, expression, or type; a
     type is read dualised when ``negated``. Iterative, so arbitrarily deep
-    values are fine.
+    values are fine; hand-written, not on ``walk``, as it writes text.
 
     ``chase(node, negated)``, if given, names the node to print in place
     of each one met and the polarity to read it at; a type leaf from

@@ -249,11 +249,11 @@ class _RedexIndex:
     tuple of ints that sorts like its pending position and stays fixed:
     the residue of a local rule fired at ``L`` is labelled ``L + (0,)``,
     ``L + (1,)``, ..., between ``L``'s neighbours, and a fusion keeps the
-    left label. Positions are ranks among live labels, computed only for a
-    trace line or a program. Each address gets an int key on first sight;
-    ``occurrences`` (surface-occurrence counts) and ``bare`` (the records
-    holding the address as a whole side) are keyed by it. One walk per
-    transaction (``_keys``) reads both.
+    left label. Positions are ranks in the sorted live labels, computed
+    only for ``redex`` and a program. Each address gets an int key on
+    first sight; ``occurrences`` (surface-occurrence counts) and ``bare``
+    (the records holding the address as a whole side) are keyed by it. One
+    walk per transaction (``_keys``) reads both.
 
     ``heap`` holds candidate redexes keyed ``(label, rule priority,
     partner label)``, the order ``find_redexes`` reports, with their
@@ -309,24 +309,19 @@ class _RedexIndex:
 
     def redexes(self) -> list[tuple[Redex, tuple]]:
         """Each redex with an entry that fires it, in key order: one per
-        valid heap entry key, the one ``leftmost`` would pop first, with
-        positions read off the label ranks (a local entry's partner label,
-        ``()``, has none). Drains a copy of the heap through ``leftmost``,
-        which pops in key order."""
+        valid heap entry key, the one ``leftmost`` would pop first. Drains
+        a copy of the heap through ``leftmost``, which pops in key order."""
         heap, self.heap, valid = self.heap, self.heap[:], {}
         while (entry := self.leftmost()) is not None:
             valid.setdefault(entry[:3], entry)
         self.heap = heap
-        rank = {label: i for i, label in enumerate(sorted(r.label for r in self.live))}
-        return [
-            (Redex(RULE_ORDER[priority], rank[label], rank.get(partner_label)), entry)
-            for (label, priority, partner_label), entry in valid.items()
-        ]
-
-    def redex(self, entry) -> Redex:
-        """``entry`` as find_redexes would report it, with positions."""
-        label, priority, partner_label, _, _, partner, _ = entry
         order = sorted(record.label for record in self.live)
+        return [(self.redex(entry, order), entry) for entry in valid.values()]
+
+    def redex(self, entry, order: list[tuple]) -> Redex:
+        """``entry`` as find_redexes would report it, with positions read
+        off ``order``, the sorted live labels."""
+        label, priority, partner_label, _, _, partner, _ = entry
         partner_pos = None if partner is None else bisect_left(order, partner_label)
         return Redex(RULE_ORDER[priority], bisect_left(order, label), partner_pos)
 
@@ -444,7 +439,7 @@ def normalize(
             return NormalizeResult(index.program(), steps, tuple(lines) if trace else None, *accounts)
         if steps >= fuel:
             raise FuelExhausted(index.program(), steps)
-        redex = index.redex(entry) if trace else None
+        redex = index.redex(entry, sorted(r.label for r in index.live)) if trace else None
         index.fire(entry, effect)
         steps += 1
         if trace:
@@ -486,15 +481,10 @@ class Ledger(sx.Node):
 def _unit_tree(e: sx.Expression) -> Counter | None:
     """The multiset of a pure ``*``-tree of unit literals, else None."""
     out: Counter = Counter()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, sx.Unit):
+    for node in sx.walk(e, lambda node: sx.children(node) if type(node) is sx.Iso else ()):
+        if type(node) is sx.Unit:
             out[node.unit] += 1
-        elif isinstance(node, sx.Iso):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
+        elif type(node) is not sx.Iso:
             return None
     return out
 

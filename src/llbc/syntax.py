@@ -169,6 +169,7 @@ class Node:
             return True
         if type(other) is not type(self):
             return NotImplemented
+        # Hand-written: it walks two trees in step, which ``walk`` does not.
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
@@ -185,17 +186,14 @@ class Node:
             pass
         # The nodes that still need this method's hash, pre-order; reversed,
         # every node follows its children.
-        order, todo = [], [self]
-        while todo:
-            order.append(todo.pop())
-            todo += [
-                kid
-                for kid in order[-1]._kids()
-                if type(kid).__hash__ is Node.__hash__ and not hasattr(kid, "_hash")
-            ]
-        for node in reversed(order):
+        for node in reversed([*walk(self, _unhashed)]):
             _set_hash(node, hash((type(node), node._key(), *map(hash, node._kids()))))
         return self._hash
+
+
+def _unhashed(node) -> list:
+    """The children of ``node`` that ``Node.__hash__`` has yet to hash."""
+    return [k for k in node._kids() if type(k).__hash__ is Node.__hash__ and not hasattr(k, "_hash")]
 
 
 _set_hash = Node.__dict__["_hash"].__set__
@@ -450,8 +448,9 @@ def rebuild(node, kids):
     return node._rebuild(kids)
 
 
-def walk(value) -> Iterator:
-    """Every node under ``value``, pre-order, left to right. Iterative."""
+def walk(value, children=children) -> Iterator:
+    """Every node under ``value``, pre-order, left to right. Iterative.
+    ``children`` gives a node's sub-nodes, as for :func:`fold`."""
     stack = [value]
     while stack:
         node = stack.pop()
@@ -602,6 +601,8 @@ BINDER = "binder"
 
 
 def _surface(e: Expression, tag: str) -> Iterator[tuple[Address, str]]:
+    # Hand-written: on ``walk``, listing the occurrences of 600 generated
+    # programs took 1.8 times as long.
     stack = [e]
     while stack:
         node = stack.pop()
@@ -685,15 +686,15 @@ def _relabelling(a: Program, b: Program) -> dict[Address, Address] | None:
     """A bijection on addresses, preserving base names, that takes ``a`` to
     ``b``; None if there is none.
 
-    A depth-first search on an explicit stack: ``goals`` is a linked list
-    of node pairs still to match, or of pending lists ``(xs, ys, start)``
-    of one key that match as multisets, where ``start`` is the first
-    candidate in ``ys`` for ``xs[0]``. ``choices`` holds the goals to
-    resume after a failure: the flipped orientation of a transaction, or
-    the next candidate. A match of ``xs[0]`` that binds nothing new leaves
-    the same state whichever way it went, so its choices are dropped: a
-    pending list of equal ground transactions is matched once, not in
-    every order.
+    Hand-written, not on ``walk``, as it backtracks: a depth-first search
+    on an explicit stack. ``goals`` is a linked list of node pairs still
+    to match, or of pending lists ``(xs, ys, start)`` of one key that
+    match as multisets, where ``start`` is the first candidate in ``ys``
+    for ``xs[0]``. ``choices`` holds the goals to resume after a failure:
+    the flipped orientation of a transaction, or the next candidate. A
+    match of ``xs[0]`` that binds nothing new leaves the same state
+    whichever way it went, so its choices are dropped: a pending list of
+    equal ground transactions is matched once, not in every order.
     """
     keys = {**_erase_keys(a), **_erase_keys(b)}
     fwd: dict[Address, Address] = {}

@@ -168,7 +168,8 @@ class _Unifier:
 
     def _occurs(self, var_id: int, node) -> bool:
         """Does free variable ``var_id`` occur in ``node``? Each class met
-        is walked once."""
+        is walked once. Hand-written: on ``walk``, checking the seed-21
+        corpus scripts took 10% more CPU."""
         seen = set()
         todo = [node]
         while todo:
@@ -187,7 +188,8 @@ class _Unifier:
     def unify(self, a: sx.LinearType, b: sx.LinearType, negated: bool = False):
         """Make ``a`` equal to ``b``, or to its dual when ``negated``: shallow
         heads on a work stack (Martelli and Montanari 1982), operands left
-        to right, as a recursive descent would take them."""
+        to right, as a recursive descent would take them. Hand-written: it
+        walks two trees in step, which ``walk`` does not."""
         todo = [(a, False, b, negated)]
         while todo:
             a, a_neg, b, b_neg = todo.pop()
@@ -218,45 +220,39 @@ class _Unifier:
 
     def resolve(self, t: sx.LinearType, negated: bool = False, memo=None) -> sx.LinearType:
         """``t``, dualised when ``negated``, with every bound variable
-        replaced by its value; a free one stays a ``T<n>`` leaf. Iterative.
+        replaced by its value; a free one stays a ``T<n>`` leaf. On
+        ``sx.fold``, so deep types are fine.
 
         ``memo`` maps (node id, polarity) to the resolved type; calls that
         share it share resolved subtrees, so each class and its dual are
         built at most once. It is valid only while no variable is bound.
-        Ground syntax is returned as it is.
+        Ground syntax is returned as it is, a ground ``t`` without a fold.
         """
-        open_nodes = self._open
+        if type(t) is not _TVar and not negated and id(t) not in self._open:
+            return t
         memo = {} if memo is None else memo
-        done: list = []
-        todo: list = [(t, negated, None)]
-        while todo:
-            node, neg, kids = todo.pop()
-            if kids is not None:  # its kids are resolved: build the node
-                got = tuple(done[-len(kids) :])
-                del done[-len(kids) :]
-                built = sx.connective(node, neg)(*got)
-                memo[id(node), neg] = built
-                done.append(built)
-                continue
-            if type(node) is _TVar:
-                node, neg = self.head(node, neg)
-                if type(node) is int:
-                    done.append(_TVar(node, neg))
-                    continue
-            if not neg and id(node) not in open_nodes:
-                done.append(node)
-                continue
-            hit = memo.get((id(node), neg))
-            if hit is None:
-                if type(node) is sx.Atom:
-                    hit = memo[id(node), neg] = sx.Atom(node.unit, not node.negated)
-                else:
-                    kids = sx.children(node)
-                    todo.append((node, neg, kids))
-                    todo.extend([(kid, neg, None) for kid in reversed(kids)])
-                    continue
-            done.append(hit)
-        return done[0]
+
+        # Items are ``[type, polarity]``; ``chase`` puts the head there,
+        # and the resolved type when it is known without the children.
+        def chase(item):
+            node, neg = self.head(*item)
+            if type(node) is int:
+                done = _TVar(node, neg)
+            elif not neg and id(node) not in self._open:
+                done = node
+            else:
+                done = memo.get((id(node), neg))
+            item[:] = node, neg, done
+            return () if done is not None else [[kid, neg] for kid in sx.children(node)]
+
+        def build(item, kids):
+            node, neg, done = item
+            if done is None:  # a compound, or an atom read dualised
+                done = self.neg(node) if type(node) is sx.Atom else sx.connective(node, neg)(*kids)
+                memo[id(node), neg] = done
+            return done
+
+        return sx.fold([t, negated], build, chase)
 
     def default_leftovers(self):
         """Bind every still-free variable to the default currency atom."""
@@ -274,20 +270,21 @@ class _Unifier:
 # built from it, once every variable is bound, when it is first read.
 
 # One row per rule that forces the expected type into a connective's
-# shape, boxes included: the rule, the connective, how an error names the
-# form, and the slot of that connective each premise is typed at (None: the
-# whole type). A box's premises are its branches (a replication's body),
-# each checked as a program whose principal port takes the slot.
+# shape, boxes included: the rule, the connective, the error message that
+# a type of another shape gets (the type follows it), and the slot of that
+# connective each premise is typed at (None: the whole type). A box's
+# premises are its branches (a replication's body), each checked as a
+# program whose principal port takes the slot.
 _SHAPED = {
-    sx.Iso: ("Tensor", sx.Tensor, "an isolation", (0, 1)),
-    sx.Conn: ("Par", sx.Par, "a connection", (0, 1)),
-    sx.Store: ("Storage", sx.WhyNot, "storage", (0,)),
-    sx.Dispose: ("Disposal", sx.WhyNot, "disposal", ()),
-    sx.Contract: ("Contraction", sx.WhyNot, "contraction", (None, None)),
-    sx.Inl: ("Left", sx.Plus, "a selection", (0,)),
-    sx.Inr: ("Right", sx.Plus, "a selection", (1,)),
-    sx.Choose: ("With", sx.With, "a menu", (0, 1)),
-    sx.Bang: ("Replication", sx.OfCourse, "replication", (0,)),
+    sx.Iso: ("Tensor", sx.Tensor, "an isolation cannot have type ", (0, 1)),
+    sx.Conn: ("Par", sx.Par, "a connection cannot have type ", (0, 1)),
+    sx.Store: ("Storage", sx.WhyNot, "storage cannot have type ", (0,)),
+    sx.Dispose: ("Disposal", sx.WhyNot, "disposal cannot have type ", ()),
+    sx.Contract: ("Contraction", sx.WhyNot, "contraction cannot have type ", (None, None)),
+    sx.Inl: ("Left", sx.Plus, "a selection cannot have type ", (0,)),
+    sx.Inr: ("Right", sx.Plus, "a selection cannot have type ", (1,)),
+    sx.Choose: ("With", sx.With, "a menu cannot have type ", (0, 1)),
+    sx.Bang: ("Replication", sx.OfCourse, "replication cannot have type ", (0,)),
 }
 
 
@@ -302,8 +299,8 @@ class _Scope:
                 program.span,
             )
         self.declared = [unifier.fresh() if t is None else t for t in declared]
-        # Per address: ``[occurrences not yet typed]``, then the type of
-        # its first typed occurrence once there is one.
+        # Per address: ``[occurrences counted]``, then the type of its
+        # first typed occurrence once there is one.
         self.uses: dict[sx.Address, list] = {}
         self._run_census()
 
@@ -323,12 +320,9 @@ class _Scope:
     # -- occurrence table ---------------------------------------------------
 
     def _learn(self, address, t, span):
+        """Type one occurrence of ``address``. The census counted every
+        occurrence that typing meets, so none is typed beyond its uses."""
         use = self.uses[address]
-        if not use[0]:
-            raise TypeMismatchError(
-                f"address {address.render()} has more typed occurrences than uses", span
-            )
-        use[0] -= 1
         if len(use) == 1:
             use.append(t)
             return
@@ -357,17 +351,18 @@ class _Scope:
 
     # -- expression typing ------------------------------------------------------
 
-    def _want(self, expected, cls, span, what):
+    def _want(self, expected, cls, span, message, error=TypeMismatchError):
         """Force ``expected`` into shape ``cls``, returning it and its
-        child slots. A free variable is bound to a ``cls`` node over fresh
-        variables without ``unify``: they are new, so it cannot occur in
-        them, and the bind cannot fail."""
+        child slots; a type of another shape raises ``error``, ``message``
+        followed by the type. A free variable is bound to a ``cls`` node
+        over fresh variables without ``unify``: they are new, so it cannot
+        occur in them, and the bind cannot fail."""
         unifier = self.unifier
         if expected is not None:
             node, neg = unifier.head(expected)
             if type(node) is not int:
                 if sx.connective(node, neg) is not cls:
-                    raise TypeMismatchError(f"{what} cannot have type {unifier.shown(expected)}", span)
+                    raise error(message + unifier.shown(expected), span)
                 slots = sx.children(node)
                 return expected, tuple(map(unifier.neg, slots)) if neg else slots
         shaped, slots = unifier.shaped(cls)
@@ -418,8 +413,8 @@ class _Scope:
         if kind is sx.Choose or kind is sx.Bang:
             item[:] = self._type_box(e, expected, row)
             return []
-        rule, cls, what, at = row
-        out, slots = self._want(expected, cls, e.span, what)
+        rule, cls, message, at = row
+        out, slots = self._want(expected, cls, e.span, message)
         item[:] = (rule, e, out)
         return [[kid, out if i is None else slots[i]] for kid, i in zip(sx.children(e), at)]
 
@@ -449,10 +444,10 @@ class _Scope:
         whose principal port takes its slot and whose other ports take the
         context. A menu's two context vectors must then agree; a
         replication's context must be ?-typed."""
-        rule, cls, what, at = row
+        rule, cls, message, at = row
         unifier = self.unifier
         binders = self._binder_split(box)
-        out, slots = self._want(expected, cls, box.span, what)
+        out, slots = self._want(expected, cls, box.span, message)
         contexts, premises = [], []
         for branch, i in zip(sx.children(box), at):
             # A binder's partner occurrence (the conclusion's context entry)
@@ -477,14 +472,9 @@ class _Scope:
                         box.span,
                     ) from None
         else:  # a replication
+            message = "replication context must be ?-typed, found "
             for g in context:
-                node, neg = unifier.head(g)
-                if type(node) is int:
-                    unifier.link[node] = (unifier.shaped(sx.WhyNot)[0], neg)
-                elif sx.connective(node, neg) is not sx.WhyNot:
-                    raise PromotionContextError(
-                        f"replication context must be ?-typed, found {unifier.shown(g)}", box.span
-                    )
+                self._want(g, sx.WhyNot, box.span, message, PromotionContextError)
         for x, g in zip(binders, context):
             self._learn(x, unifier.neg(g), box.span)
         return (rule, box, out, tuple(premises))

@@ -1,6 +1,7 @@
 """Shared test utilities: the worked spend example, corpus and pipeline
-builders, a call counter for work gates, the brute-force reduction-order
-search, and the rescanning one-step reducer that checks the redex index."""
+builders, random linear programs, a call counter for work gates, the
+brute-force reduction-order search, and the rescanning one-step reducer
+that checks the redex index."""
 from __future__ import annotations
 
 import pathlib
@@ -91,6 +92,65 @@ def constructed_pipeline(n, k, rng, loops=()):
     txns += [sx.Transaction(addr(f"x{i}"), addr(f"x{i}")) for i in loops]
     rng.shuffle(txns)
     return sx.Program((addr("a0"),), tuple(txns))
+
+
+# The forms ``linear_program`` builds around one or two operands.
+_WRAPS = {
+    "iso": (sx.Iso, 2), "conn": (sx.Conn, 2), "contract": (sx.Contract, 2),
+    "store": (sx.Store, 1), "inl": (sx.Inl, 1), "inr": (sx.Inr, 1),
+}
+
+
+def linear_program(rng, width: int, depth: int) -> sx.Program:
+    """A random program, typable or not, in which every address occurs
+    twice at its own level: interface entries, transaction sides and the
+    context binders (up to three per box) pair up at random. Box bodies
+    are such programs in turn; a level left with an odd number of sites
+    disposes one more. A box whose binders pair among themselves is
+    replaced by a disposal."""
+    sites: list[list] = []  # one cell per address occurrence, named below
+
+    def site():
+        sites.append([None])
+        return sites[-1]
+
+    def expr(d):
+        kind = rng.choice(["addr"] * 3 + [*_WRAPS] + ["dispose", "unit", "choose", "choose", "bang"])
+        if d <= 0 or kind == "addr":
+            return site()
+        if kind in _WRAPS:
+            cls, arity = _WRAPS[kind]
+            return (cls, *(expr(d - 1) for _ in range(arity)))
+        if kind == "dispose":
+            return sx.Dispose()
+        if kind == "unit":
+            return sx.Unit(rng.choice(("satoshi", "btc")))
+        binders = [site() for _ in range(rng.randrange(4))]
+        branches = 2 if kind == "choose" else 1
+        bodies = [linear_program(rng, 1 + len(binders), d - 1) for _ in range(branches)]
+        return (sx.Choose if kind == "choose" else sx.Bang, binders, *bodies)
+
+    interface = [expr(depth) for _ in range(width)]
+    pending = [(expr(depth), expr(depth)) for _ in range(rng.randrange(4))]
+    if len(sites) % 2:
+        pending.append((site(), sx.Dispose()))
+    rng.shuffle(sites)
+    for i in range(0, len(sites), 2):
+        sites[i][0] = sites[i + 1][0] = sx.Address(f"a{rng.getrandbits(40)}")
+
+    def build(e):
+        if type(e) is list:
+            return sx.Addr(e[0])
+        if type(e) is not tuple:
+            return e
+        cls, *parts = e
+        if cls is sx.Choose or cls is sx.Bang:
+            bound = tuple(cell[0] for cell in parts[0])
+            return cls(bound, *parts[1:]) if len(set(bound)) == len(bound) else sx.Dispose()
+        return cls(*map(build, parts))
+
+    pending = tuple(sx.Transaction(build(left), build(right)) for left, right in pending)
+    return sx.Program(tuple(map(build, interface)), pending)
 
 
 def canonical_key(program) -> str:

@@ -1,4 +1,5 @@
 """The random program generator is itself gated by the checker."""
+import hashlib
 from collections import Counter
 
 from llbc import syntax as sx
@@ -62,6 +63,19 @@ class TestChainGenerator:
         for i in range(len(chains)):
             for j in range(i + 1, len(chains)):
                 assert ch.isolated(chains[i], chains[j])
+
+    def test_pinned_chains(self):
+        # Recorded before ``chain`` built each name's address only once.
+        digest = hashlib.sha256()
+        for seed, units in ((0, None), (5, None), (21, ("btc", "doge", "unit_7"))):
+            generator = ChainGenerator(seed=seed) if units is None else ChainGenerator(seed, units)
+            for height, width, prefix in ((1, 1, "c"), (7, 2, "c"), (60, 5, "z0_"), (200, 3, "q")):
+                digest.update(ch.chain_to_json(generator.chain(height, width, prefix)).encode())
+            for chain in generator.isolated_chains(3, height=9):
+                digest.update(ch.chain_to_json(chain).encode())
+        assert digest.hexdigest() == (
+            "ed3125306780b048c0a6ad52d9180a4aa195566e1c7b725671b50cbea2ed5b66"
+        )
 
 
 def _count_kinds(value, out):

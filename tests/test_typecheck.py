@@ -17,7 +17,14 @@ from llbc.errors import (
 )
 from llbc.generate import GenConfig, ProgramGenerator
 
-from helpers import SPEND_TYPES, constructed_pipeline, count_calls, pipeline, spend_program
+from helpers import (
+    SPEND_TYPES,
+    constructed_pipeline,
+    count_calls,
+    linear_program,
+    pipeline,
+    spend_program,
+)
 
 
 def check_src(program_src, *type_srcs):
@@ -665,6 +672,44 @@ class TestUnifyOnlyWhereItCanFail:
             assert not any(type(node) is tc._TVar for t in types for node in sx.walk(t))
 
 
+    def test_each_occurrence_is_learned_at_most_once(self, monkeypatch):
+        # Every scope learns an address's type at most as many times as its
+        # census counted the address, and exactly as many on an accepted
+        # program, so no occurrence is ever typed beyond its uses.
+        counted, learned = {}, {}
+        make, learn = tc._Scope.__init__, tc._Scope._learn
+
+        def census(scope, *args):
+            make(scope, *args)
+            counted[id(scope)] = Counter({a: use[0] for a, use in scope.uses.items()})
+            learned[id(scope)] = Counter()
+
+        def typed(scope, address, t, span):
+            learned[id(scope)][address] += 1
+            assert learned[id(scope)][address] <= counted[id(scope)][address]
+            return learn(scope, address, t, span)
+
+        monkeypatch.setattr(tc._Scope, "__init__", census)
+        monkeypatch.setattr(tc._Scope, "_learn", typed)
+        rng = random.Random(4243)
+        linear = [linear_program(rng, rng.randrange(3), rng.randrange(1, 5)) for _ in range(600)]
+        outcomes = Counter()
+        for program, declared in [
+            *_pinned_corpus(count=200, seed=4242),
+            *((p, [None] * len(p.interface)) for p in linear),
+        ]:
+            counted.clear()
+            learned.clear()
+            try:
+                tc.check(program, declared)
+            except TypeCheckError:
+                outcomes["error"] += 1
+                continue
+            outcomes["ok"] += 1
+            assert counted == learned
+        assert outcomes["ok"] > 200 and outcomes["error"] > 200
+
+
 def _tensor(n, unit="satoshi"):
     t = sx.Atom(unit)
     for _ in range(n - 1):
@@ -781,6 +826,18 @@ class TestPinnedBehaviour:
             ("(){ txn(x, inl(x)) }", [], "x", "cyclic type", "1:16"),
             ("(){ txn(x, x * y); txn(y, satoshi) }", [], "x", "cyclic type", "1:12"),
             ("(a){ txn(a, x @ x) }", [None], "x", "?T3 vs !T3^", "1:17"),
+            # x's type is found cyclic only through y's bound variable.
+            ("(){ txn(x, ?y); txn(y, ?x) }", [], "x", "cyclic type", "1:25"),
+            # The menu's three context slots: each branch links two of them
+            # as duals, and so does txn(x1, x3), so x3's type must be its
+            # own dual while no shape is known for it.
+            (
+                "(x2, choose(x1, x2, x3){ (p, a, a, p){}; (q, q, b, b){} }){ txn(x1, x3) }",
+                [None, None],
+                "x3",
+                "a type cannot be its own dual",
+                "1:69",
+            ),
         ],
     )
     def test_error_messages(self, source, types, address, clash, span):
@@ -816,6 +873,15 @@ class TestPinnedBehaviour:
 
 
 class TestUnifier:
+    def test_resolutions_share_the_memo(self):
+        # A Cut's type and its left premise's type are one unresolved type;
+        # resolved through the memo ``check`` shares, they are one object.
+        program = parser.parse_program("(){ txn(x * y, z); txn(z, u # v); txn(x, u); txn(y, v) }")
+        cuts = tc.check(program, []).derivation.children
+        assert [cut.rule for cut in cuts] == ["Cut"] * 4
+        for cut in cuts:
+            assert cut.type is cut.children[0].type
+
     def test_path_compression_keeps_polarity(self):
         # v0 = v1^, v1 = v2, v2 = v3^, v3 = v4: one chain of four links.
         unifier = tc._Unifier()
