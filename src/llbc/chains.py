@@ -24,12 +24,7 @@ from operator import itemgetter
 
 from . import syntax as sx
 from .errors import HeightMismatch, IsolationError, LimitError
-from .units import is_valid_unit
-
-
-def _check_unit(unit: str) -> None:
-    if not is_valid_unit(unit):
-        raise ValueError(f"invalid currency unit token: {unit!r}")
+from .units import check_unit
 
 
 class Transfer(sx.Node):
@@ -40,7 +35,7 @@ class Transfer(sx.Node):
             raise ValueError("a transfer must move funds between distinct addresses")
         if not isinstance(self.amount, int) or isinstance(self.amount, bool) or self.amount <= 0:
             raise ValueError(f"transfer amount must be a positive integer: {self.amount!r}")
-        _check_unit(self.unit)
+        check_unit(self.unit)
         if self.source.path or self.target.path:
             raise ValueError("chain addresses are plain names without freshness marks")
 
@@ -261,7 +256,7 @@ def chain_from_json(text: str) -> Chain:
                 if source is target or type(amount) is not int or amount <= 0:
                     Transfer(source, target, amount, unit)  # raises the constructor's error
                 if unit not in units:
-                    _check_unit(unit)
+                    check_unit(unit)
                     units.add(unit)
                 transfers.append(Transfer.trusted(source, target, amount, unit))
             except ValueError as err:

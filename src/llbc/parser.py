@@ -130,7 +130,7 @@ _INFIX = {
     "LOLLI": _Op(
         "-o",
         0,
-        lambda a, b, span: sx.desugar_obligation(a, b),
+        lambda a, b, span: sx.desugar_obligation(a, b).replace(span=span),
         lambda a, b, span: sx.Par(sx.dual(a), b),
         right_assoc=True,
     ),
@@ -343,10 +343,8 @@ class _Parser:
             return sx.Dispose(span=_span(tok))
         if kind == "INT":
             return self.unit_chain()
-        if kind == "BANG":
-            return self.bang()
-        if kind == "IDENT" and text == "choose":
-            return self.choose()
+        if kind == "BANG" or text == "choose":
+            return self.box()
         if kind == "IDENT":
             raise ParseError(f"{text!r} is a keyword", _span(tok))
         raise _expected("an expression", tok, "expression")
@@ -402,25 +400,21 @@ class _Parser:
             raise ParseError("bound addresses must be pairwise distinct", _span(self.peek()))
         return tuple(bound)
 
-    def choose(self) -> sx.Expression:
-        tok = self.next()  # choose
+    def box(self) -> sx.Expression:
+        """A menu ``choose(x...){ p; q }`` or a replication ``!(x...){ p }``:
+        its bound list, then its branches, one program each."""
+        tok = self.next()  # choose or !
+        menu = tok[TEXT] == "choose"
+        if not (menu or self.at("LPAREN")):
+            raise ParseError("expected '(' after '!'", _span(self.peek()), expected={"LPAREN"})
         bound = self.bound_addresses()
         self.expect("LBRACE")
-        left = self.program()
-        self.expect("SEMI")
-        right = self.program()
+        branches = [self.program()]
+        if menu:
+            self.expect("SEMI")
+            branches.append(self.program())
         self.expect("RBRACE")
-        return sx.Choose(bound, left, right, span=self.span_from(tok))
-
-    def bang(self) -> sx.Expression:
-        tok = self.expect("BANG")
-        if self.at("LPAREN"):
-            bound = self.bound_addresses()
-            self.expect("LBRACE")
-            body = self.program()
-            self.expect("RBRACE")
-            return sx.Bang(bound, body, span=self.span_from(tok))
-        raise ParseError("expected '(' after '!'", _span(self.peek()), expected={"LPAREN"})
+        return (sx.Choose if menu else sx.Bang)(bound, *branches, span=self.span_from(tok))
 
     @staticmethod
     def _join(left, right) -> sx.SourceSpan | None:
@@ -502,15 +496,18 @@ def _sugar_spine(e: sx.Iso, sugar: dict) -> None:
         sugar[id(iso)] = f"{count} . {node.unit}" if count else None
 
 
-def _names(bound) -> str:
-    return ", ".join(a.render() for a in bound)
-
-
 def _listed(items, sep: str) -> list:
     parts: list = []
     for item in items:
         parts += [sep, (item, False, 0)] if parts else [(item, False, 0)]
     return parts
+
+
+def _box(head: str, box) -> list:
+    """A menu or a replication box: its head and bound list, then its
+    branches separated by ``;``."""
+    bound = ", ".join(a.render() for a in box.bound)
+    return [f"{head}({bound}){{ ", *_listed(sx.children(box), "; "), " }"]
 
 
 # How each form that is not an infix operator prints when read at polarity
@@ -528,10 +525,8 @@ _LAYOUT = {
     sx.Store: lambda n, neg: ["?", (n.inner, neg, _PREFIX_LEVEL)],
     sx.Inl: lambda n, neg: ["inl(", (n.inner, neg, 0), ")"],
     sx.Inr: lambda n, neg: ["inr(", (n.inner, neg, 0), ")"],
-    sx.Choose: lambda n, neg: [
-        f"choose({_names(n.bound)}){{ ", (n.left, neg, 0), "; ", (n.right, neg, 0), " }"
-    ],
-    sx.Bang: lambda n, neg: [f"!({_names(n.bound)}){{ ", (n.body, neg, 0), " }"],
+    sx.Choose: lambda n, neg: _box("choose", n),
+    sx.Bang: lambda n, neg: _box("!", n),
     sx.Transaction: lambda n, neg: ["txn(", (n.left, neg, 0), ", ", (n.right, neg, 0), ")"],
     sx.Program: lambda n, neg: ["(", *_listed(n.interface, ", "), "){ ", *_listed(n.pending, "; "), " }"]
     if n.pending

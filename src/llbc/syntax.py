@@ -558,17 +558,15 @@ def binder_sites(box: Choose | Bang) -> tuple[Address, ...]:
 
 def context_binders(box: Choose | Bang) -> tuple[Address, ...] | None:
     """The binders that stand for the box's context, aligned with the
-    non-principal interface of its branches (or body); None when the
-    arity does not line up.
+    non-principal interface of its branches (a replication's body is its
+    one branch); None when the arity does not line up.
 
-    Both branches of a menu must be equally wide, and the binders, once a
-    menu's placeholder is dropped, one fewer than that width.
+    All branches must be equally wide, and the binders, once a menu's
+    placeholder is dropped, one fewer than that width.
     """
-    width = len((box.left if type(box) is Choose else box.body).interface)
-    if type(box) is Choose and len(box.right.interface) != width:
-        return None
     binders = binder_sites(box)
-    return binders if len(binders) == width - 1 else None
+    widths = {len(branch.interface) for branch in children(box)}
+    return binders if widths == {len(binders) + 1} else None
 
 
 def free_addresses(value: Expression | Transaction | Program) -> frozenset[Address]:

@@ -427,11 +427,12 @@ class _Scope:
         if binders is not None:
             return binders
         menu = type(box) is sx.Choose
-        width = len((box.left if menu else box.body).interface)
-        if menu and (width == 0 or len(box.right.interface) != width):
+        widths = {len(branch.interface) for branch in sx.children(box)}
+        if menu and (0 in widths or len(widths) > 1):
             raise BranchContextMismatchError(
                 "menu branches must expose the same, non-empty interface", box.span
             )
+        (width,) = widths
         if width == 0:
             raise TypeMismatchError("replication body must expose a principal port", box.span)
         owner, held = ("menu", "branches") if menu else ("replication", "a body")

@@ -20,8 +20,10 @@ NAME_RE = re.compile(r"(?!\d+$)[A-Za-z0-9_]+\Z")
 UNITS_ENV_VAR = "LLBC_UNITS"
 
 
-def is_valid_unit(token: str) -> bool:
-    return bool(NAME_RE.match(token))
+def check_unit(token: str) -> None:
+    """Raise ValueError unless ``token`` is a valid unit token."""
+    if not NAME_RE.match(token):
+        raise ValueError(f"invalid currency unit token: {token!r}")
 
 
 def load_units(path: str) -> frozenset[str]:
@@ -32,8 +34,7 @@ def load_units(path: str) -> frozenset[str]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if not is_valid_unit(line):
-                raise ValueError(f"invalid currency unit token: {line!r}")
+            check_unit(line)
             units.add(line)
     return frozenset(units)
 

@@ -80,6 +80,11 @@ class TestCheck:
                 "(){ txn(inl(satoshi), satoshi) }\n",
                 'span=1:23 msg="expected type does not fit: satoshi^ & T2^ vs satoshi"',
             ),
+            # An obligation spans its operands, so a mismatch on it has a place.
+            (
+                "-- types: satoshi\n(p){ txn(p, satoshi -o satoshi) }\n",
+                'span=2:13 msg="a connection cannot have type satoshi"',
+            ),
         ],
     )
     def test_short_mismatch_line(self, capsys, tmp_path, source, line):

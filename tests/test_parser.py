@@ -331,6 +331,35 @@ class TestSugarSpines:
         assert len({id(sugar) for _, sugar in calls}) == 1
         assert len(calls[0][1]) == n
 
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_long_spine_render_work_is_counted(self, n, monkeypatch):
+        # The counted gate beside the wall-clock one below: on
+        # ``a * satoshi * ... * satoshi`` render takes each of the 2n + 1
+        # nodes once and writes each of its 2n + 1 pieces once.
+        e = sx.Addr(sx.Address("a"))
+        for _ in range(n):
+            e = sx.Iso(e, sx.Unit("satoshi"))
+        expected = "a" + " * satoshi" * n
+        bounded, writes, taken = parser._bounded, [], []
+
+        def counted_writer(out, limit):
+            write = bounded(out, limit)
+
+            def counted(text):
+                writes.append(text)
+                write(text)
+
+            return counted
+
+        def chase(node, neg):
+            taken.append(node)
+            return node, neg
+
+        monkeypatch.setattr(parser, "_bounded", counted_writer)
+        assert parser.render(e, chase=chase, limit=len(expected)) == expected
+        assert len(taken) == len(writes) == 2 * n + 1
+        assert len({id(node) for node in taken}) == 2 * n + 1
+
     def test_long_spine_renders_in_linear_time(self):
         # ``a * satoshi * ... * satoshi`` is no ``N . unit`` at any level;
         # finding that out must not re-walk the spine below each node.
@@ -434,8 +463,7 @@ class TestExactSpans:
              ["Conn 0-9 1:1", "Iso 0-5 1:1", "Addr 0-1 1:1", "Addr 4-5 1:5", "Addr 8-9 1:9"]),
             ("expr", "?x @ y",
              ["Contract 0-6 1:1", "Store 0-2 1:1", "Addr 1-2 1:2", "Addr 5-6 1:6"]),
-            # The desugared connection of an obligation carries no span.
-            ("expr", "a -o b", ["Conn -", "Addr 0-1 1:1", "Addr 5-6 1:6"]),
+            ("expr", "a -o b", ["Conn 0-6 1:1", "Addr 0-1 1:1", "Addr 5-6 1:6"]),
             ("expr", "(a * satoshi)^",
              ["Conn 1-12 1:2", "Addr 1-2 1:2", "Dual 5-12 1:6", "Unit 5-12 1:6"]),
             ("expr", "2 . btc", ["Iso 0-7 1:1", "Unit 0-7 1:1", "Unit 0-7 1:1"]),
