@@ -19,6 +19,7 @@ blocks newest first, and round-trips bit-exactly through ``chain_to_json``.
 from __future__ import annotations
 
 import json
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -81,22 +82,11 @@ def blockwise_isolated(c1: Chain, c2: Chain) -> bool:
     return True
 
 
-def _padded(c1: Chain, c2: Chain) -> tuple[Chain, Chain]:
-    """Align at the genesis end, padding the shorter chain with empty
-    blocks at the newest end."""
-    if c1.height == c2.height:
-        return c1, c2
-    pad = abs(c1.height - c2.height)
-    empties = (Block(()),) * pad
-    if c1.height < c2.height:
-        return Chain(empties + c1.blocks), c2
-    return c1, Chain(empties + c2.blocks)
-
-
-def _zip_blocks(c1: Chain, c2: Chain) -> Chain:
-    return Chain(
-        tuple(Block(b1.transfers + b2.transfers) for b1, b2 in zip(c1.blocks, c2.blocks))
-    )
+def _zipped(c1: Chain, c2: Chain) -> Chain:
+    """Merge same-height blocks, aligned at the genesis end: the shorter
+    chain counts as padded with empty blocks at its newest end."""
+    pairs = zip_longest(reversed(c1.blocks), reversed(c2.blocks), fillvalue=Block(()))
+    return Chain(tuple(Block(b1.transfers + b2.transfers) for b1, b2 in pairs)[::-1])
 
 
 def compose_verify(c1: Chain, c2: Chain) -> Chain:
@@ -104,11 +94,10 @@ def compose_verify(c1: Chain, c2: Chain) -> Chain:
 
     Raises :class:`IsolationError` naming every shared address otherwise.
     """
-    c1, c2 = _padded(c1, c2)
     shared = addresses(c1) & addresses(c2)
     if shared:
         raise IsolationError(shared)
-    return _zip_blocks(c1, c2)
+    return _zipped(c1, c2)
 
 
 class RewireResult(sx.Node):
@@ -142,10 +131,9 @@ def _prefix_chain(chain: Chain, tag: str) -> tuple[Chain, tuple[tuple[sx.Address
 def compose_rewire(c1: Chain, c2: Chain) -> RewireResult:
     """Zip two chains after forcing isolation by prefixing the first
     chain's addresses with "0" and the second's with "1"."""
-    c1, c2 = _padded(c1, c2)
     left, left_map = _prefix_chain(c1, "0")
     right, right_map = _prefix_chain(c2, "1")
-    return RewireResult(_zip_blocks(left, right), left_map, right_map)
+    return RewireResult(_zipped(left, right), left_map, right_map)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,14 @@ def _groundable(t: sx.LinearType) -> bool:
 
 _UNITS = tuple(sorted(DEFAULT_UNITS))
 
+# The connectives ``random_type`` draws from; an atom is drawn twice as
+# often as each of the others, and a box type only where it may stand.
+_CONNECTIVES = (sx.Atom, sx.Atom, sx.Tensor, sx.Par, sx.Plus, sx.WhyNot)
+_BOX_TYPES = (sx.With, sx.OfCourse)
+
+# The pair expression each multiplicative type is built with.
+_PAIR = {sx.Tensor: sx.Iso, sx.Par: sx.Conn}
+
 
 class GenConfig(sx.Node):
     DEFAULTS = {
@@ -86,30 +94,16 @@ class ProgramGenerator:
         atom = sx.Atom(self.unit(), self.rng.random() < 0.3)
         if depth <= 0:
             return atom
-        choices = ["atom", "atom", "tensor", "par", "plus", "whynot"]
-        if not groundable:
-            choices += ["with", "ofcourse"]
-        kind = self.rng.choice(choices)
-        sub = lambda: self.random_type(depth - 1, groundable)
-        match kind:
-            case "atom":
-                return atom
-            case "tensor":
-                return sx.Tensor(sub(), sub())
-            case "par":
-                return sx.Par(sub(), sub())
-            case "plus":
-                left, right = sub(), sub()
-                if groundable and not (_groundable(left) or _groundable(right)):
-                    return atom
-                return sx.Plus(left, right)
-            case "with":
-                return sx.With(sub(), sub())
-            case "ofcourse":
-                return sx.OfCourse(sub())
-            case "whynot":
-                return sx.WhyNot(sub())
-        raise AssertionError(kind)
+        kind = self.rng.choice(_CONNECTIVES if groundable else _CONNECTIVES + _BOX_TYPES)
+        if kind is sx.Atom:
+            return atom
+        if kind is sx.OfCourse or kind is sx.WhyNot:
+            return kind(self.random_type(depth - 1, groundable))
+        left = self.random_type(depth - 1, groundable)
+        right = self.random_type(depth - 1, groundable)
+        if kind is sx.Plus and groundable and not (_groundable(left) or _groundable(right)):
+            return atom
+        return kind(left, right)
 
     # -- closed expressions ----------------------------------------------------
 
@@ -118,10 +112,8 @@ class ProgramGenerator:
             case sx.Atom(unit, negated):
                 lit = sx.Unit(unit)
                 return sx.Dual(lit) if negated else lit
-            case sx.Tensor(left, right):
-                return sx.Iso(self.grounded(left, depth - 1), self.grounded(right, depth - 1))
-            case sx.Par(left, right):
-                return sx.Conn(self.grounded(left, depth - 1), self.grounded(right, depth - 1))
+            case sx.Tensor(left, right) | sx.Par(left, right):
+                return _PAIR[type(t)](self.grounded(left, depth - 1), self.grounded(right, depth - 1))
             case sx.Plus(left, right):
                 options = []
                 if _groundable(left):
@@ -165,18 +157,14 @@ class ProgramGenerator:
             return _Fragment(self.grounded(t, 1))
         match t:
             case sx.Atom():
-                if _groundable(t) and (not ports_allowed or rng.random() < 0.7):
+                if not ports_allowed or rng.random() < 0.7:
                     return _Fragment(self.grounded(t, 0))
                 a = self.fresh("x")
                 return _Fragment(sx.Addr(a), sides=((a, dual(t)),))
-            case sx.Tensor(left, right):
+            case sx.Tensor(left, right) | sx.Par(left, right):
                 lf = self.expr_of_type(left, depth - 1, ports_allowed)
                 rf = self.expr_of_type(right, depth - 1, ports_allowed)
-                return _Fragment(sx.Iso(lf.expr, rf.expr), lf.sides + rf.sides)
-            case sx.Par(left, right):
-                lf = self.expr_of_type(left, depth - 1, ports_allowed)
-                rf = self.expr_of_type(right, depth - 1, ports_allowed)
-                return _Fragment(sx.Conn(lf.expr, rf.expr), lf.sides + rf.sides)
+                return _Fragment(_PAIR[type(t)](lf.expr, rf.expr), lf.sides + rf.sides)
             case sx.Plus(left, right):
                 if rng.random() < 0.5:
                     inner = self.expr_of_type(left, depth - 1, ports_allowed)
@@ -197,10 +185,8 @@ class ProgramGenerator:
                         self._contract_budget += 1
                     return _Fragment(sx.Contract(lf.expr, rf.expr), lf.sides + rf.sides)
                 return _Fragment(sx.Dispose())
-            case sx.With(left, right):
-                return self._menu(left, right, depth, ports_allowed)
-            case sx.OfCourse(body):
-                return self._server(body, depth, ports_allowed)
+            case sx.With() | sx.OfCourse():
+                return self._box(t, depth, ports_allowed)
         raise AssertionError(f"unhandled type {t!r}")
 
     def _context_types(self, depth: int, ports_allowed: bool, exponential: bool):
@@ -213,29 +199,20 @@ class ProgramGenerator:
             out.append(sx.WhyNot(g) if exponential else g)
         return out
 
-    def _menu(self, left, right, depth, ports_allowed) -> _Fragment:
-        ctx = self._context_types(depth, ports_allowed, exponential=False)
-        p = self.branch_program(left, ctx, depth - 1)
-        q = self.branch_program(right, ctx, depth - 1)
-        binders = [self.fresh("m") for _ in ctx]
-        if self.rng.random() < 0.3:
+    def _box(self, t, depth, ports_allowed) -> _Fragment:
+        """A menu for ``A & B`` or a replication box for ``!A``: one closed
+        branch per child of ``t``, over a context that is ``?``-typed for
+        a replication box."""
+        menu = type(t) is sx.With
+        ctx = self._context_types(depth, ports_allowed, exponential=not menu)
+        branches = [self.branch_program(b, ctx, depth - 1) for b in sx.children(t)]
+        binders = [self.fresh("m" if menu else "s") for _ in ctx]
+        sides = tuple(zip(binders, ctx))
+        if menu and self.rng.random() < 0.3:
             # The inert placeholder form seen in genesis/burn menus.
-            bound = (self.fresh("spnd"), *binders)
-        else:
-            bound = tuple(binders)
-        return _Fragment(
-            sx.Choose(tuple(bound), p, q),
-            sides=tuple(zip(binders, ctx)),
-        )
-
-    def _server(self, body, depth, ports_allowed) -> _Fragment:
-        ctx = self._context_types(depth, ports_allowed, exponential=True)
-        p = self.branch_program(body, ctx, depth - 1)
-        binders = [self.fresh("s") for _ in ctx]
-        return _Fragment(
-            sx.Bang(tuple(binders), p),
-            sides=tuple(zip(binders, ctx)),
-        )
+            binders.insert(0, self.fresh("spnd"))
+        box = sx.Choose if menu else sx.Bang
+        return _Fragment(box(tuple(binders), *branches), sides)
 
     def branch_program(self, principal, ctx_types, depth) -> sx.Program:
         depth = max(depth, 0)

@@ -34,9 +34,8 @@ from typing import Callable, NamedTuple
 
 from . import syntax as sx
 from .errors import DualityError, LimitError, ParseError
-from .units import DEFAULT_UNITS
+from .units import DEFAULT_UNITS, KEYWORDS
 
-KEYWORDS = frozenset({"txn", "choose", "inl", "inr"})
 # The tokens that may continue an operand after a word: ``^``, and the
 # ``.`` of a freshness suffix.
 _SUFFIXES = ("CARET", "DOT")

@@ -17,12 +17,17 @@ DEFAULT_UNITS = frozenset({"satoshi", "btc", "ampere", "doge"})
 # all digits.
 NAME_RE = re.compile(r"(?!\d+$)[A-Za-z0-9_]+\Z")
 
+# The keywords of the script syntax. Neither they nor ``_``, a disposal,
+# can be written as a unit.
+KEYWORDS = frozenset({"txn", "choose", "inl", "inr"})
+
 UNITS_ENV_VAR = "LLBC_UNITS"
 
 
 def check_unit(token: str) -> None:
-    """Raise ValueError unless ``token`` is a valid unit token."""
-    if not NAME_RE.match(token):
+    """Raise ValueError unless ``token`` is a valid unit token: a name
+    that a script can write as a unit literal."""
+    if not NAME_RE.match(token) or token == "_" or token in KEYWORDS:
         raise ValueError(f"invalid currency unit token: {token!r}")
 
 

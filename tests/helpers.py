@@ -216,18 +216,22 @@ def reduction_edges(program, max_states: int = 200_000):
     return edges
 
 
+# Generator settings for programs small enough for exhaustive order
+# enumeration.
+SMALL_CONFIG = GenConfig(
+    max_type_depth=2,
+    max_expr_depth=3,
+    max_cuts=2,
+    max_ports=1,
+    max_context=1,
+    max_internal_cuts=1,
+    max_contract_depth=1,
+)
+
+
 def small_corpus(seed: int, count: int, max_pending: int = 8, max_nodes: int = 90):
     """Well-typed programs small enough for exhaustive order enumeration."""
-    config = GenConfig(
-        max_type_depth=2,
-        max_expr_depth=3,
-        max_cuts=2,
-        max_ports=1,
-        max_context=1,
-        max_internal_cuts=1,
-        max_contract_depth=1,
-    )
-    generator = ProgramGenerator(seed=seed, config=config)
+    generator = ProgramGenerator(seed=seed, config=SMALL_CONFIG)
     out = []
     while len(out) < count:
         generated = generator.typed_program()

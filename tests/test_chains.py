@@ -86,6 +86,11 @@ _LOADER_ERRORS = [
         [_VALID, _changed(unit="satoshi"), _changed(to="a")],
         "block 1, transfer 2: a transfer must move funds between distinct addresses",
     ),
+    ([_changed(unit="_")], "block 1, transfer 0: invalid currency unit token: '_'"),
+    ([_changed(unit="txn")], "block 1, transfer 0: invalid currency unit token: 'txn'"),
+    ([_changed(unit="choose")], "block 1, transfer 0: invalid currency unit token: 'choose'"),
+    ([_changed(unit="inl")], "block 1, transfer 0: invalid currency unit token: 'inl'"),
+    ([_changed(unit="inr")], "block 1, transfer 0: invalid currency unit token: 'inr'"),
 ]
 
 

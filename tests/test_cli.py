@@ -416,13 +416,15 @@ class TestUnitsRegistry:
 
     def test_bad_registry_token_is_an_io_error(self, capsys, tmp_path, monkeypatch):
         registry = tmp_path / "units.txt"
-        registry.write_text("gil\nno-unit\n")
         script = tmp_path / "plain.llbc"
         script.write_text("(x){ txn(x, satoshi) }\n")
         monkeypatch.setenv("LLBC_UNITS", str(registry))
-        code, out, err = run_cli(capsys, "check", str(script))
-        assert (code, out) == (1, "")
-        assert err == "ERROR kind=io msg=\"invalid currency unit token: 'no-unit'\"\n"
+        # A token must be a word a script can write as a unit literal.
+        for token in ("no-unit", "_", "txn", "choose", "inl", "inr"):
+            registry.write_text(f"gil\n{token}\n")
+            code, out, err = run_cli(capsys, "check", str(script))
+            assert (code, out) == (1, "")
+            assert err == f"ERROR kind=io msg=\"invalid currency unit token: '{token}'\"\n"
 
 
 class TestInputErrors:

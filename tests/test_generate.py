@@ -2,11 +2,13 @@
 import hashlib
 from collections import Counter
 
+from llbc import chains as ch
 from llbc import syntax as sx
 from llbc import typecheck as tc
 from llbc.generate import ChainGenerator, GenConfig, ProgramGenerator
+from llbc.parser import render
 
-from llbc import chains as ch
+from helpers import SMALL_CONFIG
 
 
 class TestProgramGenerator:
@@ -54,6 +56,25 @@ class TestProgramGenerator:
         for _ in range(100):
             generated = generator.typed_program()
             assert _max_contract_nesting(generated.program) <= 1
+
+    def test_pinned_programs(self):
+        # Recorded before the generator built each box with one builder.
+        digest = hashlib.sha256()
+        configs = (
+            (4, None),
+            (8, GenConfig(exponential_bias=0.95)),
+            (15, GenConfig(max_contract_depth=1)),
+            (16, SMALL_CONFIG),
+        )
+        for seed, config in configs:
+            generator = ProgramGenerator(seed, config)
+            for _ in range(60):
+                generated = generator.typed_program()
+                digest.update(render(generated.program).encode())
+                digest.update(" : ".join(map(render, generated.declared)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "943807b489dac8046332dae5eee4f2fc8fd7a3b4109ec08d10389bb2c5cba873"
+        )
 
 
 class TestChainGenerator:
