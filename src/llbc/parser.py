@@ -216,7 +216,7 @@ class _Parser:
 
     def program(self) -> sx.Program:
         begin = self.expect("LPAREN")
-        interface = [] if self.at("RPAREN") else self.listed(_EXPR)
+        interface = [] if self.at("RPAREN") else self.listed(self.infix, _EXPR)
         self.expect("RPAREN")
         self.expect("LBRACE")
         pending: list[sx.Transaction] = []
@@ -231,12 +231,12 @@ class _Parser:
         self.expect("RBRACE")
         return sx.Program(tuple(interface), tuple(pending), self.span_from(begin))
 
-    def listed(self, sort: str) -> list:
-        """One or more operands of ``sort``, separated by commas."""
-        items = [self.infix(sort)]
+    def listed(self, read: Callable, *args) -> list:
+        """One or more ``read(*args)`` items, separated by commas."""
+        items = [read(*args)]
         while self.at("COMMA"):
             self.next()
-            items.append(self.infix(sort))
+            items.append(read(*args))
         return items
 
     def transaction(self) -> sx.Transaction:
@@ -371,7 +371,7 @@ class _Parser:
     def address_suffix(self, tok: tuple) -> sx.Address:
         path: list[str] = []
         # Only a word token has the text "l" or "r".
-        while self.tokens[self.pos][KIND] == "DOT" and self.peek(1)[TEXT] in ("l", "r"):
+        while self.tokens[self.pos][KIND] == "DOT" and self.peek(1)[TEXT] in (sx.LEFT, sx.RIGHT):
             self.next()
             path.append(self.next()[TEXT])
         try:
@@ -379,25 +379,12 @@ class _Parser:
         except ValueError as err:
             raise ParseError(str(err), _span(tok)) from err
 
-    def bound_addresses(self) -> tuple[sx.Address, ...]:
-        self.expect("LPAREN")
-        bound: list[sx.Address] = []
-        if not self.at("RPAREN"):
-            while True:
-                tok = self.expect("IDENT")
-                if tok[TEXT] in KEYWORDS or tok[TEXT] in self.units:
-                    raise ParseError(
-                        f"{tok[TEXT]!r} cannot be used as a bound address", _span(tok)
-                    )
-                bound.append(self.address_suffix(tok))
-                if self.at("COMMA"):
-                    self.next()
-                    continue
-                break
-        self.expect("RPAREN")
-        if len(set(bound)) != len(bound):
-            raise ParseError("bound addresses must be pairwise distinct", _span(self.peek()))
-        return tuple(bound)
+    def binder(self) -> sx.Address:
+        """One entry of a box's bound list: an address, not a unit."""
+        tok = self.expect("IDENT")
+        if tok[TEXT] in KEYWORDS or tok[TEXT] in self.units:
+            raise ParseError(f"{tok[TEXT]!r} cannot be used as a bound address", _span(tok))
+        return self.address_suffix(tok)
 
     def box(self) -> sx.Expression:
         """A menu ``choose(x...){ p; q }`` or a replication ``!(x...){ p }``:
@@ -406,7 +393,11 @@ class _Parser:
         menu = tok[TEXT] == "choose"
         if not (menu or self.at("LPAREN")):
             raise ParseError("expected '(' after '!'", _span(self.peek()), expected={"LPAREN"})
-        bound = self.bound_addresses()
+        self.expect("LPAREN")
+        bound = () if self.at("RPAREN") else tuple(self.listed(self.binder))
+        self.expect("RPAREN")
+        if len(set(bound)) != len(bound):
+            raise ParseError("bound addresses must be pairwise distinct", _span(self.peek()))
         self.expect("LBRACE")
         branches = [self.program()]
         if menu:
@@ -466,7 +457,7 @@ def parse_script(
         declared = []
         if text[start:end].strip():
             header = _Parser(_blank(text[:start]) + text[start:end], units)
-            declared = header.finish(header.listed(_TYPE))
+            declared = header.finish(header.listed(header.infix, _TYPE))
         body = text[:offset] + _blank(text[offset:end]) + text[end:]
     return parse_program(body, units), declared
 

@@ -13,13 +13,13 @@ import re
 
 DEFAULT_UNITS = frozenset({"satoshi", "btc", "ampere", "doge"})
 
-# A unit token or an address name: letters, digits and underscores, not
-# all digits.
-NAME_RE = re.compile(r"(?!\d+$)[A-Za-z0-9_]+\Z")
-
-# The keywords of the script syntax. Neither they nor ``_``, a disposal,
-# can be written as a unit.
+# The keywords of the script syntax.
 KEYWORDS = frozenset({"txn", "choose", "inl", "inr"})
+
+# A unit token or an address name: letters, digits and underscores, not
+# all digits, and neither ``_``, a disposal, nor a keyword, so that a
+# script can write it.
+NAME_RE = re.compile(r"(?!(?:\d+|_|%s)\Z)[A-Za-z0-9_]+\Z" % "|".join(sorted(KEYWORDS)))
 
 UNITS_ENV_VAR = "LLBC_UNITS"
 
@@ -27,7 +27,7 @@ UNITS_ENV_VAR = "LLBC_UNITS"
 def check_unit(token: str) -> None:
     """Raise ValueError unless ``token`` is a valid unit token: a name
     that a script can write as a unit literal."""
-    if not NAME_RE.match(token) or token == "_" or token in KEYWORDS:
+    if not NAME_RE.match(token):
         raise ValueError(f"invalid currency unit token: {token!r}")
 
 

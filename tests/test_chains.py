@@ -91,6 +91,11 @@ _LOADER_ERRORS = [
     ([_changed(unit="choose")], "block 1, transfer 0: invalid currency unit token: 'choose'"),
     ([_changed(unit="inl")], "block 1, transfer 0: invalid currency unit token: 'inl'"),
     ([_changed(unit="inr")], "block 1, transfer 0: invalid currency unit token: 'inr'"),
+    *(
+        ([_changed(**{field: word})], f"block 1, transfer 0: invalid address name: {word!r}")
+        for field in ("from", "to")
+        for word in ("_", "txn", "choose", "inl", "inr")
+    ),
 ]
 
 
@@ -578,6 +583,21 @@ class TestLoaderWork:
 
 
 class TestBridge:
+    def test_program_round_trips_through_text(self):
+        # A loaded chain's program prints as a script that reads back as
+        # the same program, with the chain's own units registered.
+        chains = [
+            ChainGenerator(seed, units=("btc", "satoshi", "unit_7")).chain(height, 1 + seed % 3)
+            for seed in range(4)
+            for height in (0, 1, 7, 25, 60)
+        ]
+        chains += [ch.chain_from_json(path.read_text()) for path in sorted(DEMOS.glob("*.json"))]
+        assert len(chains) == 24
+        for chain in chains:
+            program = ch.chain_to_program(chain)
+            used = {t.unit for block in chain.blocks for t in block.transfers}
+            assert parser.parse_program(parser.render(program), units.DEFAULT_UNITS | used) == program
+
     def test_single_transfer(self):
         chain = ch.Chain((ch.Block((transfer("1AliceAddr", "1AllanAddr", 5),)),))
         program = ch.chain_to_program(chain)

@@ -1,4 +1,5 @@
 """Command-line contract: exit codes, output determinism, error records."""
+import hashlib
 import json
 import os
 import subprocess
@@ -608,11 +609,21 @@ class TestImports:
         assert outcome["names"] == sorted(PACKAGE_NAMES)
 
 
-class TestDemoScripts:
-    """The README's walkthroughs run to the end without a word on stderr."""
+# sha256 of each demo script's stdout. The scripts are deterministic, so
+# any change to what they print shows here.
+_DEMO_DIGESTS = {
+    "compose_chains.py": "ce17dc6a385c86aba827a2dd8b38e093085a4eb002ba7ee2f9584d604a26d141",
+    "run_spend_example.py": "c8e84b41ac2eff7b0cd5955be0bcf214bc42f24d0ef2e5d1a0d9023be4aa356a",
+    "typing_tour.py": "e0b80ccbf035369516d4394518784ffe68071727b2c33057f0879e9735ad7739",
+}
 
-    @pytest.mark.parametrize("script", ["compose_chains.py", "run_spend_example.py", "typing_tour.py"])
+
+class TestDemoScripts:
+    """The README's walkthroughs run to the end without a word on stderr
+    and print what they always printed."""
+
+    @pytest.mark.parametrize("script", sorted(_DEMO_DIGESTS))
     def test_demo_runs(self, script):
         done = _child(str(DEMOS / script))
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == _DEMO_DIGESTS[script]

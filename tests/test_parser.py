@@ -2,6 +2,7 @@
 import gc
 import hashlib
 import random
+import sys
 import time
 from collections import Counter
 
@@ -359,6 +360,30 @@ class TestSugarSpines:
         assert parser.render(e, chase=chase, limit=len(expected)) == expected
         assert len(taken) == len(writes) == 2 * n + 1
         assert len({id(node) for node in taken}) == 2 * n + 1
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_long_spine_sugar_loop_is_counted(self, n):
+        # The loop that decides which ``*`` nodes print as ``N . unit``:
+        # the lines run in ``_sugar_spine``'s frames, counted by a tracer
+        # local to those frames, grow linearly with the spine (6n + 5).
+        e = sx.Addr(sx.Address("a"))
+        for _ in range(n):
+            e = sx.Iso(e, sx.Unit("satoshi"))
+        code, lines = parser._sugar_spine.__code__, []
+
+        def local(frame, event, arg):
+            if event == "line":
+                lines.append(frame.f_lineno)
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+        try:
+            text = parser.render(e)
+        finally:
+            sys.settrace(previous)
+        assert text == "a" + " * satoshi" * n
+        assert 0 < len(lines) <= 8 * n + 16
 
     def test_long_spine_renders_in_linear_time(self):
         # ``a * satoshi * ... * satoshi`` is no ``N . unit`` at any level;

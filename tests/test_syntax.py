@@ -403,6 +403,13 @@ class TestNode:
         assert (span.begin, span.end) == (2, 1)
         assert sx.Address("a").extended(sx.LEFT) == sx.Address("a", (sx.LEFT,))
 
+    @pytest.mark.parametrize("word", ["_", "txn", "choose", "inl", "inr"])
+    def test_address_refuses_words_no_script_can_write(self, word):
+        # ``_`` reads as a disposal and the keywords as syntax, so neither
+        # can be an address.
+        with pytest.raises(ValueError, match="invalid address name"):
+            sx.Address(word)
+
     def test_addresses_order_by_name_then_path(self):
         addresses = [sx.Address("b"), sx.Address("a", ("r",)), sx.Address("a"), sx.Address("a", ("l",))]
         assert [a.render() for a in sorted(addresses)] == ["a", "a.l", "a.r", "b"]
