@@ -45,7 +45,18 @@ class Block(sx.Node):
     __slots__ = {"transfers": sx.DATA}
 
 
-class Chain(sx.Node):
+class _Addressed(sx.Node):
+    """A chain's address set, kept in a slot outside its fields: the
+    loader and the composers attach the set they already know, and any
+    other chain works it out on first use (see ``addresses``)."""
+
+    __slots__ = ("_addresses",)
+
+
+_set_addresses = _Addressed.__dict__["_addresses"].__set__
+
+
+class Chain(_Addressed):
     """Blocks ordered newest first (height N down to genesis)."""
 
     __slots__ = {"blocks": sx.DATA}
@@ -55,10 +66,24 @@ class Chain(sx.Node):
         return len(self.blocks)
 
 
+def _with_addresses(chain: Chain, found: frozenset[sx.Address]) -> Chain:
+    _set_addresses(chain, found)
+    return chain
+
+
 def addresses(value: Chain | Block) -> frozenset[sx.Address]:
-    blocks = (value,) if isinstance(value, Block) else value.blocks
-    sources = {t.source for block in blocks for t in block.transfers}
-    return frozenset(sources | {t.target for block in blocks for t in block.transfers})
+    try:
+        return value._addresses
+    except AttributeError:  # a block, or a chain whose set is not known yet
+        pass
+    blocks = value.blocks if isinstance(value, Chain) else (value,)
+    # A chain address has no freshness path, so its name stands for it:
+    # keying on the name hashes a str, not a node.
+    by_name = {a.name: a for block in blocks for t in block.transfers for a in (t.source, t.target)}
+    found = frozenset(by_name.values())
+    if isinstance(value, Chain):
+        _set_addresses(value, found)
+    return found
 
 
 def isolated(c1: Chain, c2: Chain) -> bool:
@@ -75,9 +100,9 @@ def blockwise_isolated(c1: Chain, c2: Chain) -> bool:
     if c1.height != c2.height:
         raise HeightMismatch(c1.height, c2.height)
     for b1, b2 in zip(c1.blocks, c2.blocks):
-        left = {a for t in b1.transfers for a in (t.source, t.target)}
+        left = {a.name for t in b1.transfers for a in (t.source, t.target)}
         for t in b2.transfers:
-            if t.source in left or t.target in left:
+            if t.source.name in left or t.target.name in left:
                 return False
     return True
 
@@ -86,7 +111,8 @@ def _zipped(c1: Chain, c2: Chain) -> Chain:
     """Merge same-height blocks, aligned at the genesis end: the shorter
     chain counts as padded with empty blocks at its newest end."""
     pairs = zip_longest(reversed(c1.blocks), reversed(c2.blocks), fillvalue=Block(()))
-    return Chain(tuple(Block(b1.transfers + b2.transfers) for b1, b2 in pairs)[::-1])
+    zipped = Chain(tuple(Block(b1.transfers + b2.transfers) for b1, b2 in pairs)[::-1])
+    return _with_addresses(zipped, addresses(c1) | addresses(c2))
 
 
 def compose_verify(c1: Chain, c2: Chain) -> Chain:
@@ -111,21 +137,22 @@ class RewireResult(sx.Node):
 
 
 def _prefix_chain(chain: Chain, tag: str) -> tuple[Chain, tuple[tuple[sx.Address, sx.Address], ...]]:
-    mapping = {a: sx.Address(tag + a.name) for a in sorted(addresses(chain))}
+    pairs = tuple((a, sx.Address(tag + a.name)) for a in sorted(addresses(chain)))
+    mapping = {a.name: image for a, image in pairs}
     # Renaming keeps every transfer valid: only its addresses change, and
     # the mapping is injective onto plain names.
     rewired = Chain(
         tuple(
             Block(
                 tuple(
-                    Transfer.trusted(mapping[t.source], mapping[t.target], t.amount, t.unit)
+                    Transfer.trusted(mapping[t.source.name], mapping[t.target.name], t.amount, t.unit)
                     for t in block.transfers
                 )
             )
             for block in chain.blocks
         )
     )
-    return rewired, tuple(sorted(mapping.items()))
+    return _with_addresses(rewired, frozenset(mapping.values())), pairs
 
 
 def compose_rewire(c1: Chain, c2: Chain) -> RewireResult:
@@ -250,7 +277,7 @@ def chain_from_json(text: str) -> Chain:
             except ValueError as err:
                 raise ValueError(f"block {i}, transfer {j}: {err}") from None
         blocks.append(Block(tuple(transfers)))
-    return Chain(tuple(blocks))
+    return _with_addresses(Chain(tuple(blocks)), frozenset(address.values()))
 
 
 def load_chain(path: str) -> Chain:
@@ -266,21 +293,32 @@ def chain_to_program(chain: Chain) -> sx.Program:
     recipient, genesis-style: the interface lists the receiving addresses
     and each transfer becomes one pending assignment. Syntax nodes are
     immutable values, so each recipient is one node, shared by the interface
-    and its assignments, and transfers of equal amount and unit share one
-    literal."""
+    and its assignments, transfers of equal amount and unit share one
+    literal, and transfers of equal recipient, amount and unit share one
+    transaction. The distinct literals may expand to at most
+    ``syntax.MAX_LITERALS`` units in all, as in a script; past that this
+    raises :class:`LimitError` before building the literal."""
     literals: dict[tuple[int, str], sx.Expression] = {}
-    recipients: dict[sx.Address, sx.Addr] = {}
+    recipients: dict[str, sx.Addr] = {}
+    assignments: dict[tuple[str, int, str], sx.Transaction] = {}
+    units = 0
     interface = []
     pending = []
     for block in chain.blocks:
         for t in block.transfers:
-            key = (t.amount, t.unit)
-            literal = literals.get(key)
-            if literal is None:
-                literal = literals[key] = sx.amount_literal(t.amount, t.unit)
-            recipient = recipients.get(t.target)
-            if recipient is None:
-                recipient = recipients[t.target] = sx.Addr(t.target)
-            interface.append(recipient)
-            pending.append(sx.Transaction(recipient, literal))
+            key = (t.target.name, t.amount, t.unit)
+            txn = assignments.get(key)
+            if txn is None:
+                literal = literals.get((t.amount, t.unit))
+                if literal is None:
+                    units += t.amount
+                    if units > sx.MAX_LITERALS:
+                        raise LimitError(f"unit literals expand to more than {sx.MAX_LITERALS} units")
+                    literal = literals[t.amount, t.unit] = sx.amount_literal(t.amount, t.unit)
+                recipient = recipients.get(t.target.name)
+                if recipient is None:
+                    recipient = recipients[t.target.name] = sx.Addr(t.target)
+                txn = assignments[key] = sx.Transaction(recipient, literal)
+            interface.append(txn.left)
+            pending.append(txn)
     return sx.Program(tuple(interface), tuple(pending))

@@ -24,7 +24,8 @@ class ParseError(LlbcError):
 class LimitError(ParseError):
     """Input past a documented limit: nested deeper than the parser
     (``parser.MAX_NESTING``) or the chain loader (``chains.MAX_JSON_NESTING``)
-    allows, or with more ``N . unit`` literals (``parser.MAX_LITERALS``)."""
+    allows, or with more unit literals than ``syntax.MAX_LITERALS``, in the
+    ``N . unit`` forms of a script or the amounts of a bridged chain."""
 
     kind = "limit"
 

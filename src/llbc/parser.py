@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple
 
 from . import syntax as sx
 from .errors import DualityError, LimitError, ParseError
+from .syntax import MAX_LITERALS
 from .units import DEFAULT_UNITS, KEYWORDS
 
 # The tokens that may continue an operand after a word: ``^``, and the
@@ -152,11 +153,6 @@ _OP_OF_NODE = {
 # entry or transaction side, and right operand of ``-o`` is a level. At most
 # six parser frames per level keep this far inside the recursion limit.
 MAX_NESTING = 100
-
-# How many unit literals the ``N . unit`` forms of one parse may expand to
-# in all. Each literal is a node, so an unbounded ``N`` could exhaust time
-# and memory before anything else sees the program.
-MAX_LITERALS = 100000
 
 # A sort is named by its constructor column in ``_Op``.
 _EXPR = "expr"

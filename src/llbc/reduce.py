@@ -499,13 +499,16 @@ def readback_ledger(p: sx.Program) -> Ledger:
     """
     balances: defaultdict[sx.Address, Counter] = defaultdict(Counter)
     burned: Counter = Counter()
-    # Literals are immutable and may be shared between transactions (see
-    # chains.chain_to_program): each is walked once, its uses are counted
-    # per owner (None: burned), and its units are weighed once at the end.
-    # The key is id(), not the node: hashing a node walks all of it.
+    # Transactions and literals are immutable and may be shared (see
+    # chains.chain_to_program): each distinct transaction is classified
+    # once and counted as often as it occurs, each literal is walked once,
+    # its uses are counted per owner (None: burned), and its units are
+    # weighed once at the end. The keys are id(), not nodes: hashing a
+    # node walks all of it.
+    occurs = Counter(map(id, p.pending))
     trees: dict[int, Counter | None] = {}
     uses: Counter = Counter()
-    for i, txn in enumerate(p.pending):
+    for txn_key, txn in dict(zip(map(id, p.pending), p.pending)).items():
         for head, other in ((txn.left, txn.right), (txn.right, txn.left)):
             if isinstance(head, sx.Addr) and isinstance(other, sx.Dispose):
                 balances[head.address]  # an empty balance
@@ -515,10 +518,10 @@ def readback_ledger(p: sx.Program) -> Ledger:
                 if key not in trees:
                     trees[key] = _unit_tree(other)
                 if trees[key] is not None:
-                    uses[head.address if isinstance(head, sx.Addr) else None, key] += 1
+                    uses[head.address if isinstance(head, sx.Addr) else None, key] += occurs[txn_key]
                     break
         else:
-            raise NotInLedgerForm(i, txn)
+            raise NotInLedgerForm(next(i for i, t in enumerate(p.pending) if t is txn), txn)
     for (owner, key), times in uses.items():
         account = burned if owner is None else balances[owner]
         for unit, count in trees[key].items():

@@ -425,6 +425,13 @@ class Program(Node):
     __slots__ = {"interface": CHILDREN, "pending": CHILDREN, "span": SPAN}
 
 
+# How many unit literals the ``N . unit`` forms of one parse, or the
+# distinct amounts of one chain bridged by ``chains.chain_to_program``, may
+# expand to in all. Each literal is a node, so an unbounded ``N`` could
+# exhaust time and memory before anything else sees the program.
+MAX_LITERALS = 100000
+
+
 def amount_literal(count: int, unit: str, span=None) -> Expression:
     """``count . unit``: the left-nested ``*`` chain of ``count`` literals of
     ``unit``, every node carrying ``span``."""

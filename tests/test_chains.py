@@ -15,10 +15,10 @@ from llbc import parser
 from llbc import reduce as rd
 from llbc import syntax as sx
 from llbc import units
-from llbc.errors import HeightMismatch, IsolationError, LimitError
+from llbc.errors import HeightMismatch, IsolationError, LimitError, NotInLedgerForm
 from llbc.generate import ChainGenerator
 
-from helpers import DEMOS
+from helpers import DEMOS, count_calls
 
 A = sx.Address
 
@@ -96,6 +96,13 @@ _LOADER_ERRORS = [
         for field in ("from", "to")
         for word in ("_", "txn", "choose", "inl", "inr")
     ),
+    # Field values that cannot key a table, after block 0 has made the
+    # names a and b and the unit btc known.
+    ([_changed(unit=["btc"])], "block 1, transfer 0: transfer field 'unit' must be a string, not list"),
+    ([_changed(unit={"x": 1})], "block 1, transfer 0: transfer field 'unit' must be a string, not dict"),
+    ([_changed(amount=[1])], "block 1, transfer 0: transfer amount must be a positive integer: [1]"),
+    ([_changed(**{"from": ["a"]})], "block 1, transfer 0: transfer field 'from' must be a string, not list"),
+    ([_changed(to={})], "block 1, transfer 0: transfer field 'to' must be a string, not dict"),
 ]
 
 
@@ -378,6 +385,81 @@ class TestComposeRewire:
             assert not (left & right)
 
 
+def _ways(chain):
+    """``chain`` made five ways: as given, loaded from its JSON, rebuilt
+    through the checking constructors from fresh addresses, copied with
+    ``replace`` and composed with the empty chain. Loading and composing
+    attach the address set their maker knew; the other copies work it out
+    on first use."""
+    built = ch.Chain(
+        tuple(
+            ch.Block(tuple(ch.Transfer(A(t.source.name), A(t.target.name), t.amount, t.unit) for t in block.transfers))
+            for block in chain.blocks
+        )
+    )
+    return [
+        chain,
+        ch.chain_from_json(ch.chain_to_json(chain)),
+        built,
+        chain.replace(blocks=chain.blocks),
+        ch.compose_verify(chain, ch.Chain(())),
+    ]
+
+
+def _outcomes(x, y) -> list:
+    """What the chain layer says of ``x`` alone and of ``x`` beside ``y``."""
+    program = ch.chain_to_program(x)
+    out = [ch.addresses(x), ch.chain_to_json(x), program, rd.readback_ledger(program)]
+    out += [ch.isolated(x, y), ch.blockwise_isolated(x, y)]
+    try:
+        out.append(ch.chain_to_json(ch.compose_verify(x, y)))
+    except IsolationError as err:
+        out.append(err.shared)
+    rewired = ch.compose_rewire(x, y)
+    out += [rewired.left_map, rewired.right_map, ch.chain_to_json(rewired.chain), ch.addresses(rewired.chain)]
+    return out
+
+
+class TestAddressSets:
+    """A chain keeps its address set outside its fields: chains loaded,
+    built, copied and composed agree on everything the chain layer
+    computes, and the set never shows in equality, hash or repr."""
+
+    @pytest.mark.parametrize("height", [0, 1, 17, 120])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_way_of_making_a_chain_agrees(self, seed, height):
+        generator = ChainGenerator(seed, units=("btc", "satoshi", "unit_7"))
+        left, right, third = (generator.chain(height, 1 + seed % 3, prefix=p) for p in ("l", "r", "z"))
+        sharing = ChainGenerator(seed + 50).chain(height, prefix="l")
+        cases = [
+            left,
+            right,
+            sharing,
+            ch.compose_verify(ch.compose_verify(left, right), third),
+            ch.compose_rewire(ch.compose_rewire(left, sharing).chain, right).chain,
+        ]
+        ways = [_ways(chain) for chain in cases]
+        for k, (chain, made) in enumerate(zip(cases, ways)):
+            expected = frozenset(a for block in chain.blocks for t in block.transfers for a in (t.source, t.target))
+            assert all(ch.addresses(x) == expected for x in made)
+            assert all(x == chain and hash(x) == hash(chain) and repr(x) == repr(chain) for x in made)
+            for partners in (made, ways[(k + 1) % len(cases)]):
+                # Way j of x meets way j + 1 of its partner.
+                first = _outcomes(made[0], partners[0])
+                for j, x in enumerate(made):
+                    assert _outcomes(x, partners[(j + 1) % len(partners)]) == first
+
+    def test_the_set_is_not_a_field(self):
+        loaded = ch.chain_from_json('{"blocks": [{"transfers": [{"from": "a", "to": "b", "amount": 1, "unit": "btc"}]}]}')
+        built = ch.Chain((ch.Block((transfer("a", "b", 1),)),))
+        assert ch.Chain.__match_args__ == ("blocks",)
+        assert repr(loaded) == repr(built) == f"Chain(blocks={built.blocks!r})"
+        assert loaded == built and hash(loaded) == hash(built)
+        assert ch.addresses(loaded) == ch.addresses(built) == {A("a"), A("b")}
+        with pytest.raises(AttributeError):
+            loaded._addresses = frozenset()
+
+
 class TestJson:
     def test_round_trip_values(self, safe_pair):
         for chain in safe_pair:
@@ -582,6 +664,53 @@ class TestLoaderWork:
         assert sx.Address.trusted("x") == sx.Address("x") and sx.Address.trusted("x").path == ()
 
 
+def _address_hashes(left, right) -> dict[str, int]:
+    """``Address.__hash__`` calls made by each chain-layer call on a pair,
+    composed by verify when isolated and else by rewire."""
+    counts = {}
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, sx.Address, "__hash__")
+
+        def counted(function, *args):
+            before = len(calls)
+            try:
+                result = function(*args)
+            except IsolationError:
+                result = None
+            counts[function.__name__] = len(calls) - before
+            return result
+
+        counted(ch.isolated, left, right)
+        counted(ch.blockwise_isolated, left, right)
+        combined = counted(ch.compose_verify, left, right)
+        rewired = counted(ch.compose_rewire, left, right)
+        program = counted(ch.chain_to_program, combined or rewired.chain)
+        counted(rd.readback_ledger, program)
+        counted(hash, A("probe"))
+    assert counts.pop("hash") == 1  # the wrapper sees every call
+    return counts
+
+
+class TestChainLayerWork:
+    """What the chain layer hashes, counted rather than timed: on loaded
+    chains, a chain's address set and name-keyed tables leave no
+    ``Address.__hash__`` call that grows with the number of transfers."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["isolated", "shared"])
+    def test_address_hashes_do_not_grow_with_height(self, shared):
+        counts = []
+        for height in (500, 2000):
+            if shared:
+                left, right = ChainGenerator(1).chain(height), ChainGenerator(2).chain(height)
+            else:
+                generator = ChainGenerator(1)
+                left, right = generator.chain(height, prefix="l"), generator.chain(height, prefix="r")
+            left, right = (ch.chain_from_json(ch.chain_to_json(c)) for c in (left, right))
+            assert ch.isolated(left, right) is not shared
+            counts.append(_address_hashes(left, right))
+        assert counts[0] == counts[1]
+
+
 class TestBridge:
     def test_program_round_trips_through_text(self):
         # A loaded chain's program prints as a script that reads back as
@@ -633,6 +762,32 @@ class TestBridge:
         ledger = rd.readback_ledger(outcome.result)
         assert ledger.to_json_dict() == {"balances": {"b": {"btc": 100_000}}, "burned": {}}
 
+    def test_literals_past_the_cap_are_refused_before_they_are_built(self, monkeypatch):
+        built = count_calls(monkeypatch, sx, "amount_literal")
+        chain = ch.Chain((ch.Block((transfer("a", "b", sx.MAX_LITERALS + 1),)),))
+        with pytest.raises(LimitError, match=f"more than {sx.MAX_LITERALS} units"):
+            ch.chain_to_program(chain)
+        assert built == []
+        assert parser.MAX_LITERALS is sx.MAX_LITERALS
+
+    def test_the_cap_counts_each_distinct_literal_once(self):
+        two = ch.Chain((ch.Block((transfer("a", "b", 60_000), transfer("c", "d", 60_000, "satoshi"))),))
+        with pytest.raises(LimitError):
+            ch.chain_to_program(two)
+        many = ch.Chain(tuple(ch.Block((transfer("a", "b", 5),)) for _ in range(10_000)))
+        program = ch.chain_to_program(many)
+        assert len(program.pending) == 10_000 and len({id(txn) for txn in program.pending}) == 1
+        assert rd.readback_ledger(program).to_json_dict()["balances"] == {"b": {"btc": 50_000}}
+
+    def test_equal_assignments_share_one_transaction(self):
+        chain = ChainGenerator(seed=5).chain(1000)
+        program = ch.chain_to_program(chain)
+        assignments = {(t.target.name, t.amount, t.unit) for block in chain.blocks for t in block.transfers}
+        assert len({id(txn) for txn in program.pending}) == len(assignments) < len(program.pending) // 10
+        assert all(entry is txn.left for entry, txn in zip(program.interface, program.pending))
+        unshared = sx.Program(program.interface, tuple(sx.Transaction(t.left, t.right) for t in program.pending))
+        assert program == unshared and parser.render(program) == parser.render(unshared)
+
     def test_accumulates_repeat_recipients(self):
         chain = ch.Chain(
             (
@@ -682,3 +837,34 @@ class TestBridge:
             "balances": {"a": {"btc": 4}, "b": {"btc": 2}},
             "burned": {"btc": 4},
         }
+
+    def test_repeated_transaction_out_of_ledger_form_names_its_first_place(self):
+        bad = sx.Transaction(sx.Addr(A("a")), sx.Addr(A("b")))
+        good = sx.Transaction(sx.Addr(A("c")), sx.Unit("btc"))
+        program = sx.Program((sx.Addr(A("c")),), (good, bad, good, bad))
+        with pytest.raises(NotInLedgerForm) as caught:
+            rd.readback_ledger(program)
+        assert caught.value.index == 1 and caught.value.transaction is bad
+
+    def test_shared_transactions_normalize_like_unshared_ones(self):
+        # The bridged assignments sit among transactions that do reduce, so
+        # each trace line renders them; a copy of the program with one
+        # transaction object per position must give the same lines.
+        rng = random.Random("shared transactions")
+        for seed in range(3):
+            bridged = ch.chain_to_program(ChainGenerator(seed).chain(40))
+            splits = parser.parse_program(
+                "(" + " * ".join(f"o{k} * p{k}" for k in range(20)) + "){ "
+                + "; ".join(f"txn({2 + k % 4} . btc, o{k} # p{k})" for k in range(20))
+                + " }"
+            )
+            pending = [*bridged.pending, *splits.pending]
+            rng.shuffle(pending)
+            shared = sx.Program(bridged.interface + splits.interface, tuple(pending))
+            unshared = shared.replace(pending=tuple(sx.Transaction(t.left, t.right) for t in pending))
+            assert len({id(t) for t in shared.pending}) < len({id(t) for t in unshared.pending})
+            runs = [rd.normalize(p, trace=True) for p in (shared, unshared)]
+            lines = [[step.line() for step in run.trace] for run in runs]
+            assert lines[0] == lines[1] and len(lines[0]) >= 20
+            assert runs[0].result == runs[1].result
+            assert rd.readback_ledger(runs[0].result) == rd.readback_ledger(runs[1].result)
